@@ -20,8 +20,8 @@ fn key(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}"))
 }
 
-/// Same shape as the hotpath harness: TABLES tables of contiguous key
-/// ranges plus a live memtable holding fresher versions of 20% of keys.
+/// TABLES tables of contiguous key ranges plus a live memtable holding
+/// fresher versions of 20% of keys.
 fn build_tree(dir: &TempDir) -> LsmTree {
     let opts = LsmOptions {
         block_cache: Some(Arc::new(BlockCache::new(256 * 1024 * 1024))),

@@ -4,7 +4,7 @@
 //! record + one fsync for the whole batch, so throughput should scale
 //! nearly linearly with batch size until payload bytes dominate.
 //!
-//! The wall-clock harness (`--bin writepath`) covers the multi-threaded
+//! The end-to-end benchmark (`perfbench/`) covers the multi-threaded
 //! group-commit and indexed-put cases; this bench isolates the per-call
 //! batching effect with criterion's statistics.
 
@@ -15,7 +15,7 @@ use diff_index_lsm::LsmOptions;
 use tempdir_lite::TempDir;
 
 fn durable_cluster() -> (TempDir, Cluster) {
-    let dir = TempDir::new("bench-writepath").unwrap();
+    let dir = TempDir::new("bench-write-path").unwrap();
     let lsm = LsmOptions {
         wal_sync: true,
         memtable_flush_bytes: 32 * 1024 * 1024,

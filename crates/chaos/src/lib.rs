@@ -19,8 +19,8 @@
 //! client's partition map goes stale in net mode as a side effect. A
 //! resurrected zombie still holding its crash-time region view must have
 //! its writes fenced (`StaleEpoch`); with fencing sabotaged
-//! ([`diff_index_cluster::set_disable_fencing`]) its lost acked write must
-//! be caught by the checkers.
+//! ([`RunOptions::violate_fencing`]) its lost acked write must be caught by
+//! the checkers.
 //!
 //! Every client write is recorded into a
 //! [`diff_index_core::History`]; after the scenario quiesces, per-scheme

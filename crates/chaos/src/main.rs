@@ -130,13 +130,16 @@ fn main() {
     let cli = parse_args();
     if cli.violate_delta {
         eprintln!("sabotage: §4.3 old-entry timestamp rule DISABLED (expect violations)");
-        diff_index_core::set_violate_delta(true);
     }
     if cli.violate_fencing {
         eprintln!("sabotage: epoch fencing DISABLED — zombies ack lost writes (expect violations)");
-        diff_index_cluster::set_disable_fencing(true);
     }
-    let opts = RunOptions { force_mode: cli.force_mode, verbose: cli.verbose };
+    let opts = RunOptions {
+        force_mode: cli.force_mode,
+        verbose: cli.verbose,
+        violate_delta: cli.violate_delta,
+        violate_fencing: cli.violate_fencing,
+    };
     let mut passed = 0u64;
     let mut failed = 0u64;
     let t0 = std::time::Instant::now();

@@ -71,6 +71,14 @@ pub struct RunOptions {
     pub force_mode: Option<Mode>,
     /// Print each step as it executes.
     pub verbose: bool,
+    /// Sabotage §4.3 on the run's cluster
+    /// ([`FaultPlan::sabotage_delta`](diff_index_cluster::FaultPlan::sabotage_delta));
+    /// the checkers must fire.
+    pub violate_delta: bool,
+    /// Sabotage epoch fencing on the run's cluster
+    /// ([`FaultPlan::sabotage_fencing`](diff_index_cluster::FaultPlan::sabotage_fencing));
+    /// the checkers must fire.
+    pub violate_fencing: bool,
 }
 
 /// What one `(seed, scheme)` scenario produced.
@@ -132,7 +140,7 @@ struct Env {
     _dir: tempdir_lite::TempDir,
 }
 
-fn build_env(sched: &Schedule) -> Result<Env, String> {
+fn build_env(sched: &Schedule, opts: &RunOptions) -> Result<Env, String> {
     let dir = tempdir_lite::TempDir::new("chaos").map_err(|e| format!("tempdir: {e}"))?;
     // Big memtable: flushes happen only when the schedule says so, and a
     // huge retention keeps `RB(k, t−δ)` snapshot reads answerable.
@@ -147,6 +155,8 @@ fn build_env(sched: &Schedule) -> Result<Env, String> {
         },
     };
     let cluster = Cluster::new(dir.path(), copts).map_err(|e| format!("cluster: {e}"))?;
+    cluster.faults().sabotage_delta(opts.violate_delta);
+    cluster.faults().sabotage_fencing(opts.violate_fencing);
     cluster.create_table(BASE_TABLE, BASE_REGIONS).map_err(|e| format!("create base: {e}"))?;
 
     let spec = IndexSpec::single(
@@ -206,7 +216,7 @@ pub fn run_seed(seed: u64, scheme: IndexScheme, opts: &RunOptions) -> RunOutcome
         violations: Vec::new(),
         history_tail: Vec::new(),
     };
-    let env = match build_env(&sched) {
+    let env = match build_env(&sched, opts) {
         Ok(env) => env,
         Err(e) => {
             outcome
@@ -402,7 +412,7 @@ fn resurrect_zombie(
             let _ = store.put(BASE_TABLE, &row_key(row), &cols);
         }
         Ok(ts) => {
-            if !diff_index_cluster::fencing_disabled() {
+            if !env.cluster.faults().fencing_sabotaged() {
                 violations.push(Violation {
                     check: "zombie-fence",
                     detail: format!(

@@ -20,24 +20,8 @@ use diff_index_lsm::{Cell, CellKind, LsmOptions, LsmTree, MetricsSnapshot, Versi
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-
-/// Process-global sabotage switch for the chaos harness: when set, epoch
-/// fencing is disabled and [`Cluster::zombie_put`] *accepts* writes it should
-/// reject — an end-to-end proof that the consistency checkers catch an
-/// unfenced zombie write (lost acked write). Never set outside tests.
-static DISABLE_FENCING: AtomicBool = AtomicBool::new(false);
-
-/// Enable/disable the epoch-fencing sabotage (chaos-harness selftests only).
-pub fn set_disable_fencing(disabled: bool) {
-    DISABLE_FENCING.store(disabled, Ordering::SeqCst);
-}
-
-/// True if epoch fencing has been sabotaged via [`set_disable_fencing`].
-pub fn fencing_disabled() -> bool {
-    DISABLE_FENCING.load(Ordering::SeqCst)
-}
 
 /// One whole row: its key plus the visible `(column, value)` cells, as
 /// returned by the grouped row scans.
@@ -1154,7 +1138,7 @@ impl Cluster {
             let enc = row_start(row);
             (state.map.server_for(&enc), state.map.epoch_for(&enc))
         };
-        if stamped != epoch && !fencing_disabled() {
+        if stamped != epoch && !self.inner.faults.fencing_sabotaged() {
             self.inner.fenced_writes.fetch_add(1, Ordering::Relaxed);
             return Err(ClusterError::StaleEpoch { owner, epoch });
         }
@@ -1168,7 +1152,7 @@ impl Cluster {
     /// epoch and must reject the write with [`ClusterError::StaleEpoch`]:
     /// accepting it would ack a write into discarded state (split-brain,
     /// a lost acked write). With fencing sabotaged
-    /// ([`set_disable_fencing`]), the zombie acks the write *without
+    /// ([`FaultPlan::sabotage_fencing`]), the zombie acks the write *without
     /// applying it anywhere authoritative* — exactly the failure mode the
     /// chaos checkers must catch.
     pub fn zombie_put(
@@ -1209,7 +1193,7 @@ impl Cluster {
             // and the crashed engine cannot serve — plain unavailability.
             return Err(ClusterError::ServerDown(server));
         }
-        if !fencing_disabled() {
+        if !self.inner.faults.fencing_sabotaged() {
             self.inner.fenced_writes.fetch_add(1, Ordering::Relaxed);
             return Err(ClusterError::StaleEpoch { owner, epoch: current_epoch });
         }

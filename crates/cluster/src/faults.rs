@@ -10,7 +10,12 @@
 //!   server *after* the base write is durably applied but *before* the
 //!   coprocessors run or the client is acked — the exact §5.3 window where
 //!   the base table and the index diverge until WAL-replay recovery
-//!   re-enqueues the maintenance work.
+//!   re-enqueues the maintenance work;
+//! * two **sabotage switches** that break a correctness rule on purpose, so
+//!   a harness can prove its checkers catch the breakage: the §4.3
+//!   old-entry timestamp rule and epoch fencing. They are configuration for
+//!   a whole run, not armed faults: [`FaultPlan::disarm_all`] leaves them
+//!   set.
 
 use diff_index_lsm::FaultInjector;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,6 +32,11 @@ pub struct FaultPlan {
     crash_next_put: AtomicBool,
     /// How many crash-mid-put faults actually fired.
     fired_put_crashes: AtomicU64,
+    /// Sabotage: synchronous index repair reads the pre-image and deletes
+    /// the old entry at `t` instead of `t − δ`.
+    violate_delta: AtomicBool,
+    /// Sabotage: epoch fencing accepts stale-epoch and zombie writes.
+    disable_fencing: AtomicBool,
 }
 
 impl Default for FaultPlan {
@@ -35,6 +45,8 @@ impl Default for FaultPlan {
             lsm: Arc::new(FaultInjector::new()),
             crash_next_put: AtomicBool::new(false),
             fired_put_crashes: AtomicU64::new(0),
+            violate_delta: AtomicBool::new(false),
+            disable_fencing: AtomicBool::new(false),
         }
     }
 }
@@ -77,6 +89,32 @@ impl FaultPlan {
     /// True if any fault (cluster- or engine-level) is still armed.
     pub fn anything_armed(&self) -> bool {
         self.crash_next_put.load(Ordering::Acquire) || self.lsm.anything_armed()
+    }
+
+    /// Sabotage §4.3: when set, the synchronous repair arm performs its
+    /// pre-image read and old-entry delete at the base timestamp `t`
+    /// instead of `t − δ`. The read-back then observes the *new* value,
+    /// concludes old == new, skips the delete, and leaks the stale
+    /// old-value entry for good.
+    pub fn sabotage_delta(&self, on: bool) {
+        self.violate_delta.store(on, Ordering::SeqCst);
+    }
+
+    /// True while the §4.3 sabotage is on.
+    pub fn delta_sabotaged(&self) -> bool {
+        self.violate_delta.load(Ordering::SeqCst)
+    }
+
+    /// Sabotage epoch fencing: when set, stale-epoch writes are accepted
+    /// and [`Cluster::zombie_put`](crate::Cluster::zombie_put) acks writes
+    /// it should reject — a lost acked write the checkers must catch.
+    pub fn sabotage_fencing(&self, on: bool) {
+        self.disable_fencing.store(on, Ordering::SeqCst);
+    }
+
+    /// True while the fencing sabotage is on.
+    pub fn fencing_sabotaged(&self) -> bool {
+        self.disable_fencing.load(Ordering::SeqCst)
     }
 }
 

@@ -32,8 +32,7 @@ pub mod health;
 pub mod keyspace;
 
 pub use cluster::{
-    fencing_disabled, set_disable_fencing, Cluster, ClusterOptions, DispatchSnapshot, PutOutcome,
-    RecoveryStats, RowGroup, WeakCluster,
+    Cluster, ClusterOptions, DispatchSnapshot, PutOutcome, RecoveryStats, RowGroup, WeakCluster,
 };
 pub use faults::FaultPlan;
 pub use coproc::{ColumnValue, ReplayedOp, TableObserver};

@@ -30,48 +30,6 @@ use std::time::Duration;
 /// unavailability window (e.g. a crashed server awaiting recovery).
 const MAX_RETRIES: u32 = 64;
 
-/// What to do when a bounded queue is at capacity (backpressure policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Block the producer until workers free space — backpressure
-    /// propagates to the writer, no task is ever turned away. The default.
-    Block,
-    /// Turn the overflowing batch away immediately
-    /// ([`Admission::Rejected`]); the producer decides what to do with it.
-    Reject,
-}
-
-/// Outcome of an enqueue attempt against a bounded queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Every task of the batch was accepted.
-    Admitted,
-    /// The queue was full under [`AdmissionPolicy::Reject`]: the whole
-    /// batch (this many tasks) was turned away. All-or-nothing, so a flush
-    /// drain never observes half of one base operation's tasks.
-    Rejected(usize),
-}
-
-/// Construction options for [`Auq::start_with_options`].
-#[derive(Debug, Clone)]
-pub struct AuqOptions {
-    /// APS worker threads (clamped to ≥ 1).
-    pub workers: usize,
-    /// Queue capacity; `usize::MAX` = unbounded (the default). The bound is
-    /// soft by one batch: a batch admitted into remaining space may
-    /// overshoot, and §5.3 recovery handover is exempt (see
-    /// [`Auq::hold_for_recovery`]).
-    pub capacity: usize,
-    /// What to do with a batch that finds the queue full.
-    pub policy: AdmissionPolicy,
-}
-
-impl Default for AuqOptions {
-    fn default() -> Self {
-        Self { workers: 1, capacity: usize::MAX, policy: AdmissionPolicy::Block }
-    }
-}
-
 /// One unit of deferred index work.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexTask {
@@ -110,7 +68,7 @@ struct State {
     paused: bool,
     in_flight: usize,
     shutdown: bool,
-    /// §5.3 recovery window: workers stop popping (queued tasks addressed
+    /// §5.3 recovery window: the worker stops popping (queued tasks addressed
     /// to dead regions stop burning their retry budget) while intake stays
     /// open for WAL-replay re-enqueues; the whole backlog drains against
     /// the regions' new owners on release.
@@ -138,8 +96,6 @@ pub struct AuqMetrics {
     pub fanout_dispatches: AtomicU64,
     /// Total parallel sub-operations those dispatches fanned out.
     pub fanout_tasks: AtomicU64,
-    /// Tasks turned away by a full queue under [`AdmissionPolicy::Reject`].
-    pub auq_rejections: AtomicU64,
     /// Deepest queue depth ever observed (after an admission).
     pub high_watermark: AtomicU64,
     /// §5.3 recovery windows this queue was held through (AUQ handover).
@@ -162,17 +118,14 @@ impl AuqMetrics {
     }
 }
 
-/// The queue plus its background workers, bound to one index.
+/// The queue plus its background APS worker, bound to one index.
 pub struct Auq {
     state: Mutex<State>,
     cv: Condvar,
     cluster: WeakCluster,
     spec: Arc<IndexSpec>,
     metrics: Arc<AuqMetrics>,
-    workers: usize,
-    capacity: usize,
-    policy: AdmissionPolicy,
-    /// Chaos-testing switch: while set, APS workers stop pulling tasks
+    /// Chaos-testing switch: while set, the APS worker stops pulling tasks
     /// (the queue keeps accepting), simulating a wedged processing service.
     /// A flush's `pause_and_drain` overrides the stall — the drain contract
     /// (`PR(Flushed) = ∅`, Figure 5) must hold even mid-chaos, or the base
@@ -192,36 +145,9 @@ impl std::fmt::Debug for Auq {
 }
 
 impl Auq {
-    /// Create the queue and start a single APS worker thread.
+    /// Create the queue and start its APS worker thread. The queue is
+    /// unbounded, as in the paper.
     pub fn start(cluster: WeakCluster, spec: Arc<IndexSpec>) -> Arc<Self> {
-        Self::start_with_workers(cluster, spec, 1)
-    }
-
-    /// Create the queue and start `workers` APS worker threads (at least
-    /// one). Tasks are pulled from the shared queue by whichever worker is
-    /// free, so index maintenance for independent rows proceeds in parallel;
-    /// §5.1's per-task protocol is unchanged. Note that tasks for the *same*
-    /// row may then complete out of order — harmless, because every index
-    /// entry carries its base entry's timestamp (§4.3), making delivery
-    /// commutative.
-    pub fn start_with_workers(
-        cluster: WeakCluster,
-        spec: Arc<IndexSpec>,
-        workers: usize,
-    ) -> Arc<Self> {
-        Self::start_with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
-    }
-
-    /// Create the queue with explicit worker count, capacity, and admission
-    /// policy. An unbounded `capacity` (the default) reproduces the paper's
-    /// AUQ exactly; a bound adds backpressure so a wedged APS cannot grow
-    /// the queue without limit.
-    pub fn start_with_options(
-        cluster: WeakCluster,
-        spec: Arc<IndexSpec>,
-        opts: AuqOptions,
-    ) -> Arc<Self> {
-        let workers = opts.workers.max(1);
         let auq = Arc::new(Self {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -234,34 +160,14 @@ impl Auq {
             cluster,
             spec,
             metrics: Arc::new(AuqMetrics::default()),
-            workers,
-            capacity: opts.capacity.max(1),
-            policy: opts.policy,
             stalled: AtomicBool::new(false),
         });
-        for i in 0..workers {
-            let worker = Arc::clone(&auq);
-            std::thread::Builder::new()
-                .name(format!("aps-{}-{i}", worker.spec.name))
-                .spawn(move || worker.aps_loop())
-                .expect("spawn APS worker");
-        }
+        let worker = Arc::clone(&auq);
+        std::thread::Builder::new()
+            .name(format!("aps-{}", worker.spec.name))
+            .spawn(move || worker.aps_loop())
+            .expect("spawn APS worker");
         auq
-    }
-
-    /// Number of APS worker threads serving this queue.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Queue capacity (`usize::MAX` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Admission policy applied when the queue is full.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
     }
 
     /// Counters and staleness statistics.
@@ -270,56 +176,32 @@ impl Auq {
     }
 
     /// Add a task. Blocks while the queue is paused for a flush drain —
-    /// the paper's "block the AUQ from receiving new entries" (§5.3) — and,
-    /// for a bounded queue under [`AdmissionPolicy::Block`], while the
-    /// queue is at capacity. Under [`AdmissionPolicy::Reject`] a full queue
-    /// answers [`Admission::Rejected`] instead.
-    pub fn enqueue(&self, task: IndexTask) -> Admission {
+    /// the paper's "block the AUQ from receiving new entries" (§5.3).
+    pub fn enqueue(&self, task: IndexTask) {
         self.enqueue_many(std::iter::once(task))
     }
 
     /// Add a batch of tasks under one queue lock with a single worker
     /// wake-up. The blocking-while-paused contract matches [`Auq::enqueue`];
-    /// the whole batch is admitted (or rejected) atomically, so a flush
-    /// drain never splits the tasks of one base operation across a pause
-    /// boundary. While a §5.3 recovery window is open
-    /// ([`Auq::hold_for_recovery`]) the capacity bound is waived: handover
-    /// re-enqueues must never deadlock against held workers.
-    pub fn enqueue_many<I: IntoIterator<Item = IndexTask>>(&self, tasks: I) -> Admission {
+    /// the whole batch is admitted at once, so a flush drain never splits
+    /// the tasks of one base operation across a pause boundary.
+    pub fn enqueue_many<I: IntoIterator<Item = IndexTask>>(&self, tasks: I) {
         let batch: Vec<IndexTask> = tasks.into_iter().collect();
         if batch.is_empty() {
-            return Admission::Admitted;
+            return;
         }
         let mut s = self.state.lock();
-        loop {
-            if s.shutdown {
-                return Admission::Admitted;
-            }
-            if s.paused {
-                self.cv.wait(&mut s);
-                continue;
-            }
-            if s.queue.len() < self.capacity || s.held {
-                break;
-            }
-            match self.policy {
-                AdmissionPolicy::Reject => {
-                    let n = batch.len();
-                    self.metrics.auq_rejections.fetch_add(n as u64, Ordering::Relaxed);
-                    return Admission::Rejected(n);
-                }
-                AdmissionPolicy::Block => self.cv.wait(&mut s),
-            }
+        while s.paused && !s.shutdown {
+            self.cv.wait(&mut s);
         }
-        let mut n = 0u64;
-        for task in batch {
-            s.queue.push_back((task, 0));
-            n += 1;
+        if s.shutdown {
+            return;
         }
+        let n = batch.len() as u64;
+        s.queue.extend(batch.into_iter().map(|task| (task, 0)));
         self.metrics.enqueued.fetch_add(n, Ordering::Relaxed);
         self.metrics.high_watermark.fetch_max(s.queue.len() as u64, Ordering::Relaxed);
         self.cv.notify_all();
-        Admission::Admitted
     }
 
     /// Pause intake and wait until every queued and in-flight task has been
@@ -342,7 +224,7 @@ impl Auq {
     }
 
     /// Chaos-testing control: stall (`true`) or un-stall (`false`) the APS
-    /// workers. While stalled, tasks accumulate but are not executed —
+    /// worker. While stalled, tasks accumulate but are not executed —
     /// except during a flush's `pause_and_drain`, which overrides the stall
     /// so the drain-before-flush protocol cannot deadlock. A harness MUST
     /// clear the stall before calling [`Auq::wait_idle`] or quiescing.
@@ -352,17 +234,16 @@ impl Auq {
         self.cv.notify_all();
     }
 
-    /// True while [`Auq::set_stalled`] has the workers wedged.
+    /// True while [`Auq::set_stalled`] has the worker wedged.
     pub fn is_stalled(&self) -> bool {
         self.stalled.load(Ordering::SeqCst)
     }
 
-    /// Open a §5.3 recovery window: wedge the workers (queued tasks would
+    /// Open a §5.3 recovery window: wedge the worker (queued tasks would
     /// only burn retries against `ServerDown` until the new region owner is
     /// ready) while intake stays open — WAL-replay re-enqueues keep landing
-    /// in the queue, and the capacity bound is waived so handover can never
-    /// deadlock against the held workers. A flush's [`Auq::pause_and_drain`]
-    /// overrides the hold, same as a stall.
+    /// in the queue. A flush's [`Auq::pause_and_drain`] overrides the hold,
+    /// same as a stall.
     pub fn hold_for_recovery(&self) {
         let mut s = self.state.lock();
         s.held = true;
@@ -370,7 +251,7 @@ impl Auq {
         self.cv.notify_all();
     }
 
-    /// Close the recovery window: workers resume draining the queue — now
+    /// Close the recovery window: the worker resumes draining the queue — now
     /// routed to the regions' new owners.
     pub fn release_recovery_hold(&self) {
         let mut s = self.state.lock();
@@ -378,7 +259,7 @@ impl Auq {
         self.cv.notify_all();
     }
 
-    /// True while a recovery window holds the workers.
+    /// True while a recovery window holds the worker.
     pub fn is_held(&self) -> bool {
         self.state.lock().held
     }
@@ -414,7 +295,7 @@ impl Auq {
                         return;
                     }
                     // An injected stall or a recovery hold wedges the
-                    // workers — unless a flush drain is waiting (paused),
+                    // worker — unless a flush drain is waiting (paused),
                     // which takes precedence.
                     let wedged =
                         (self.stalled.load(Ordering::SeqCst) || s.held) && !s.paused;
@@ -718,53 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_worker_drain_completes_all_pending_work() {
-        let (_d, cluster, spec, _single) = setup();
-        let auq = Auq::start_with_workers(cluster.downgrade(), Arc::clone(&spec), 4);
-        assert_eq!(auq.workers(), 4);
-        for i in 0..100 {
-            let row = format!("row{i:03}");
-            let val = format!("val{i:03}");
-            let ts = cluster.put("base", row.as_bytes(), &[(b("name"), b(&val))]).unwrap();
-            auq.enqueue(IndexTask::Maintain {
-                row: b(&row),
-                ts,
-                is_delete: false,
-                put_columns: vec![(b("name"), b(&val))],
-            });
-        }
-        // pause_and_drain must wait for tasks in flight on EVERY worker, not
-        // just an empty queue.
-        auq.pause_and_drain();
-        assert_eq!(auq.depth(), 0);
-        assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 100);
-        for i in 0..100 {
-            let key = index_row(&[b(&format!("val{i:03}"))], format!("row{i:03}").as_bytes());
-            assert!(
-                cluster.get(&spec.index_table(), &key, b"", u64::MAX).unwrap().is_some(),
-                "task {i} must have been delivered before drain returned"
-            );
-        }
-        auq.resume();
-    }
-
-    #[test]
-    fn zero_workers_is_clamped_to_one() {
-        let (_d, cluster, spec, _single) = setup();
-        let auq = Auq::start_with_workers(cluster.downgrade(), Arc::clone(&spec), 0);
-        assert_eq!(auq.workers(), 1);
-        let ts = cluster.put("base", b"r1", &[(b("name"), b("v"))]).unwrap();
-        auq.enqueue(IndexTask::Maintain {
-            row: b("r1"),
-            ts,
-            is_delete: false,
-            put_columns: vec![(b("name"), b("v"))],
-        });
-        auq.wait_idle();
-        assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn failing_tasks_retry_and_eventually_drop() {
         let (_d, cluster, _spec, auq) = setup();
         // Target table rows route fine, but the index table for this AUQ
@@ -819,6 +653,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(150));
         assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 0, "stalled");
         assert_eq!(auq.depth(), 1);
+        assert_eq!(auq.metrics().high_watermark.load(Ordering::Relaxed), 1);
         auq.set_stalled(false);
         auq.wait_idle();
         assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 1);
@@ -863,93 +698,21 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_rejects_when_full() {
-        let (_d, cluster, spec, _single) = setup();
-        let auq = Auq::start_with_options(
-            cluster.downgrade(),
-            Arc::clone(&spec),
-            AuqOptions { workers: 1, capacity: 4, policy: AdmissionPolicy::Reject },
-        );
-        assert_eq!(auq.capacity(), 4);
-        auq.set_stalled(true);
-        for i in 0..4 {
-            assert_eq!(auq.enqueue(maintain_task(i)), Admission::Admitted);
-        }
-        // Single overflow task: turned away, queue untouched.
-        assert_eq!(auq.enqueue(maintain_task(4)), Admission::Rejected(1));
-        assert_eq!(auq.depth(), 4);
-        // Batch rejection is all-or-nothing: no partial admission.
-        let batch: Vec<_> = (5..8).map(maintain_task).collect();
-        assert_eq!(auq.enqueue_many(batch), Admission::Rejected(3));
-        assert_eq!(auq.depth(), 4);
-        assert_eq!(auq.metrics().auq_rejections.load(Ordering::Relaxed), 4);
-        assert_eq!(auq.metrics().high_watermark.load(Ordering::Relaxed), 4);
-        // Once the APS drains, admission reopens.
-        auq.set_stalled(false);
-        auq.wait_idle();
-        assert_eq!(auq.enqueue(maintain_task(8)), Admission::Admitted);
-        auq.wait_idle();
-    }
-
-    #[test]
-    fn bounded_queue_blocks_until_workers_drain() {
-        let (_d, cluster, spec, _single) = setup();
-        let auq = Auq::start_with_options(
-            cluster.downgrade(),
-            Arc::clone(&spec),
-            AuqOptions { workers: 1, capacity: 2, policy: AdmissionPolicy::Block },
-        );
-        auq.set_stalled(true);
-        assert_eq!(auq.enqueue(maintain_task(0)), Admission::Admitted);
-        assert_eq!(auq.enqueue(maintain_task(1)), Admission::Admitted);
-        let auq2 = Arc::clone(&auq);
-        let handle = std::thread::spawn(move || auq2.enqueue(maintain_task(2)));
-        std::thread::sleep(Duration::from_millis(80));
-        assert!(!handle.is_finished(), "enqueue must block while the queue is at capacity");
-        assert_eq!(auq.metrics().auq_rejections.load(Ordering::Relaxed), 0);
-        auq.set_stalled(false);
-        assert_eq!(handle.join().unwrap(), Admission::Admitted);
-        auq.wait_idle();
-        assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn recovery_hold_wedges_workers_but_intake_stays_open() {
+    fn recovery_hold_wedges_worker_but_intake_stays_open() {
         let (_d, _cluster, _spec, auq) = setup();
         auq.hold_for_recovery();
         assert!(auq.is_held());
         // Intake stays open inside the recovery window (§5.3 blocks the
         // *processing*, not the WAL-replay re-enqueues).
-        assert_eq!(auq.enqueue(maintain_task(0)), Admission::Admitted);
+        auq.enqueue(maintain_task(0));
         std::thread::sleep(Duration::from_millis(150));
-        assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 0, "workers held");
+        assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 0, "worker held");
         assert_eq!(auq.depth(), 1);
         auq.release_recovery_hold();
         assert!(!auq.is_held());
         auq.wait_idle();
         assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 1);
         assert_eq!(auq.metrics().recovery_holds.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn recovery_hold_waives_capacity_bound() {
-        let (_d, cluster, spec, _single) = setup();
-        let auq = Auq::start_with_options(
-            cluster.downgrade(),
-            Arc::clone(&spec),
-            AuqOptions { workers: 1, capacity: 1, policy: AdmissionPolicy::Reject },
-        );
-        auq.hold_for_recovery();
-        // Replay re-enqueues during the recovery window must never be
-        // rejected (or block): the handover would lose acked writes (or
-        // deadlock against the held workers).
-        for i in 0..3 {
-            assert_eq!(auq.enqueue(maintain_task(i)), Admission::Admitted);
-        }
-        assert_eq!(auq.depth(), 3);
-        auq.release_recovery_hold();
-        auq.wait_idle();
-        assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 3);
     }
 
     #[test]

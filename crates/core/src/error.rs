@@ -15,13 +15,6 @@ pub enum IndexError {
     /// The session has been inactive past its lifetime limit and was
     /// garbage-collected (§5.2); start a new session.
     SessionExpired,
-    /// A bounded AUQ at capacity rejected the write's index tasks
-    /// (`AdmissionPolicy::Reject`); the base write is not acked. Retryable:
-    /// back off and retry once the APS drains the queue.
-    AuqFull {
-        /// Number of index tasks turned away.
-        rejected: usize,
-    },
 }
 
 impl fmt::Display for IndexError {
@@ -31,9 +24,6 @@ impl fmt::Display for IndexError {
             IndexError::NoSuchIndex(n) => write!(f, "no such index: {n}"),
             IndexError::IndexExists(n) => write!(f, "index already exists: {n}"),
             IndexError::SessionExpired => write!(f, "session expired"),
-            IndexError::AuqFull { rejected } => {
-                write!(f, "async update queue full: {rejected} task(s) rejected")
-            }
         }
     }
 }
@@ -66,6 +56,5 @@ mod tests {
         assert!(IndexError::SessionExpired.to_string().contains("expired"));
         let e = IndexError::from(ClusterError::NoSuchTable("t".into()));
         assert!(std::error::Error::source(&e).is_some());
-        assert!(IndexError::AuqFull { rejected: 3 }.to_string().contains("full"));
     }
 }

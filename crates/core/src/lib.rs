@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod admin;
-pub mod advisor;
 pub mod auq;
 pub mod cost;
 pub mod encoding;
@@ -52,14 +51,12 @@ pub mod store;
 pub mod verify;
 
 pub use admin::{DiffIndex, IndexHandle};
-pub use auq::{Admission, AdmissionPolicy, Auq, AuqMetrics, AuqOptions, IndexTask};
+pub use auq::{Auq, AuqMetrics, IndexTask};
 pub use cost::{index_update_latency, read_cost, update_cost, IoCost};
 pub use error::{IndexError, Result};
 pub use history::{History, RecordingStore, WriteKind, WriteOutcome, WriteRecord};
-pub use observers::{set_violate_delta, violate_delta_enabled};
 pub use read::IndexHit;
 pub use session::{Session, SessionConfig};
-pub use advisor::{recommend, Recommendation, Requirements, WorkloadStats};
 pub use spec::{ConsistencyLevel, IndexScheme, IndexSpec};
 pub use store::Store;
 pub use verify::{cleanse_index, verify_index, Divergence, VerifyReport};

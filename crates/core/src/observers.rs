@@ -7,14 +7,14 @@
 //! entry always carries the same timestamp as the base entry it is
 //! associated with**, and old-entry operations happen at `t − δ`.
 
-use crate::auq::{new_index_values, read_index_values, Admission, Auq, AuqOptions, IndexTask};
+use crate::auq::{new_index_values, read_index_values, Auq, IndexTask};
 use crate::encoding::index_row;
 use crate::error::Result;
 use crate::spec::IndexSpec;
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ColumnValue, ReplayedOp, TableObserver};
 use diff_index_lsm::DELTA;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Key-only index entry payload: one empty column with an empty value.
@@ -22,29 +22,11 @@ fn null_cell() -> Vec<ColumnValue> {
     vec![(Bytes::new(), Bytes::new())]
 }
 
-/// Chaos-testing switch (process-global): when set, the synchronous repair
-/// arm performs its pre-image read and old-entry delete at the base
-/// timestamp `t` instead of `t − δ` — deliberately violating §4.3. The
-/// read-back then observes the *new* value, concludes old == new, skips the
-/// delete, and permanently leaks the stale old-value entry. The chaos
-/// harness flips this on to prove its consistency checkers catch exactly
-/// this class of bug deterministically. Never set outside chaos tests.
-static VIOLATE_DELTA: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the deliberate §4.3 violation (chaos testing only).
-pub fn set_violate_delta(enabled: bool) {
-    VIOLATE_DELTA.store(enabled, Ordering::SeqCst);
-}
-
-/// True while the deliberate §4.3 violation is enabled.
-pub fn violate_delta_enabled() -> bool {
-    VIOLATE_DELTA.load(Ordering::SeqCst)
-}
-
 /// The timestamp old-entry operations should use: `ts − δ` per §4.3, or
-/// (under the injected violation) `ts` itself.
-fn old_entry_ts(ts: u64) -> u64 {
-    if violate_delta_enabled() {
+/// `ts` itself under the cluster's §4.3 sabotage switch
+/// ([`FaultPlan::sabotage_delta`](diff_index_cluster::FaultPlan::sabotage_delta)).
+fn old_entry_ts(cluster: &Cluster, ts: u64) -> u64 {
+    if cluster.faults().delta_sabotaged() {
         ts
     } else {
         ts - DELTA
@@ -79,11 +61,7 @@ fn sync_update(
         if let Some(vals) = &new_vals {
             let new_key = index_row(vals, row);
             if cluster.raw_put(&spec.index_table(), &new_key, &null_cell(), ts).is_err() {
-                if let Admission::Rejected(n) =
-                    auq.enqueue(IndexTask::PutIndex { index_row: new_key, ts })
-                {
-                    return Err(crate::error::IndexError::AuqFull { rejected: n });
-                }
+                auq.enqueue(IndexTask::PutIndex { index_row: new_key, ts });
             }
         }
         return Ok(());
@@ -117,7 +95,7 @@ fn sync_update(
         let cluster = cluster.clone();
         let spec = Arc::clone(spec);
         arms.push(Box::new(move || {
-            let old_ts = old_entry_ts(ts);
+            let old_ts = old_entry_ts(&cluster, ts);
             let old_vals = read_index_values(&cluster, &spec, &row, old_ts)?;
             if let Some(old) = old_vals {
                 if Some(&old) != new_vals.as_ref() {
@@ -142,10 +120,9 @@ fn sync_update(
     metrics.fanout_tasks.fetch_add(arms.len() as u64, Ordering::Relaxed);
     let results = cluster.fanout().run(arms);
 
-    // Failed index ops degrade to the AUQ as one atomically admitted batch;
-    // a read error in either arm surfaces after both arms have finished
-    // (matching the sequential code, where SU2's enqueue preceded an SU3
-    // read error).
+    // Failed index ops degrade to the AUQ as one batch; a read error in
+    // either arm surfaces after both arms have finished (matching the
+    // sequential code, where SU2's enqueue preceded an SU3 read error).
     let mut retries = Vec::new();
     let mut first_err = None;
     for result in results {
@@ -158,11 +135,7 @@ fn sync_update(
             }
         }
     }
-    if let Admission::Rejected(n) = auq.enqueue_many(retries) {
-        if first_err.is_none() {
-            first_err = Some(crate::error::IndexError::AuqFull { rejected: n });
-        }
-    }
+    auq.enqueue_many(retries);
     match first_err {
         Some(e) => Err(e),
         None => Ok(()),
@@ -184,11 +157,7 @@ fn sync_delete(
             .raw_delete(&spec.index_table(), &old_key, &[Bytes::new()], ts - DELTA)
             .is_err()
         {
-            if let Admission::Rejected(n) =
-                auq.enqueue(IndexTask::DeleteIndex { index_row: old_key, ts: ts - DELTA })
-            {
-                return Err(crate::error::IndexError::AuqFull { rejected: n });
-            }
+            auq.enqueue(IndexTask::DeleteIndex { index_row: old_key, ts: ts - DELTA });
         }
     }
     Ok(())
@@ -208,11 +177,10 @@ macro_rules! replay_and_flush_impl {
         }
 
         fn pre_recovery(&self, _cluster: &Cluster, _table: &str) {
-            // §5.3: the AUQ is blocked inside the recovery window. Workers
-            // hold (tasks routed to dead regions would only burn retries
-            // against ServerDown) while intake stays open so WAL-replay
-            // re-enqueues land in the queue; any capacity bound is waived
-            // under the hold so the handover cannot deadlock.
+            // §5.3: the AUQ is blocked inside the recovery window. The APS
+            // worker holds (tasks routed to dead regions would only burn
+            // retries against ServerDown) while intake stays open so
+            // WAL-replay re-enqueues land in the queue.
             self.auq.hold_for_recovery();
         }
 
@@ -281,18 +249,7 @@ pub struct AsyncObserver {
 impl SyncFullObserver {
     /// Build the observer (and its failure-retry AUQ) for `spec`.
     pub fn new(cluster: &Cluster, spec: Arc<IndexSpec>) -> Self {
-        Self::with_workers(cluster, spec, 1)
-    }
-
-    /// Like [`SyncFullObserver::new`] with `workers` retry-queue threads.
-    pub fn with_workers(cluster: &Cluster, spec: Arc<IndexSpec>, workers: usize) -> Self {
-        Self::with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
-    }
-
-    /// Full control over the retry queue: worker count, capacity bound and
-    /// admission policy.
-    pub fn with_options(cluster: &Cluster, spec: Arc<IndexSpec>, opts: AuqOptions) -> Self {
-        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
+        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
         Self { spec, auq }
     }
 
@@ -305,18 +262,7 @@ impl SyncFullObserver {
 impl SyncInsertObserver {
     /// Build the observer (and its failure-retry AUQ) for `spec`.
     pub fn new(cluster: &Cluster, spec: Arc<IndexSpec>) -> Self {
-        Self::with_workers(cluster, spec, 1)
-    }
-
-    /// Like [`SyncInsertObserver::new`] with `workers` retry-queue threads.
-    pub fn with_workers(cluster: &Cluster, spec: Arc<IndexSpec>, workers: usize) -> Self {
-        Self::with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
-    }
-
-    /// Full control over the retry queue: worker count, capacity bound and
-    /// admission policy.
-    pub fn with_options(cluster: &Cluster, spec: Arc<IndexSpec>, opts: AuqOptions) -> Self {
-        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
+        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
         Self { spec, auq }
     }
 
@@ -329,22 +275,7 @@ impl SyncInsertObserver {
 impl AsyncObserver {
     /// Build the observer and its AUQ/APS for `spec`.
     pub fn new(cluster: &Cluster, spec: Arc<IndexSpec>) -> Self {
-        Self::with_workers(cluster, spec, 1)
-    }
-
-    /// Like [`AsyncObserver::new`] with `workers` APS threads draining the
-    /// queue in parallel — the knob behind the paper's observation that APS
-    /// throughput bounds index staleness (§8.4, Figure 11).
-    pub fn with_workers(cluster: &Cluster, spec: Arc<IndexSpec>, workers: usize) -> Self {
-        Self::with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
-    }
-
-    /// Full control over the queue: worker count, capacity bound and
-    /// admission policy — a bounded queue turns a wedged or lagging APS
-    /// into backpressure (`Block`) or fast-fail (`Reject`) instead of
-    /// unbounded memory growth.
-    pub fn with_options(cluster: &Cluster, spec: Arc<IndexSpec>, opts: AuqOptions) -> Self {
-        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
+        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
         Self { spec, auq }
     }
 
@@ -434,17 +365,13 @@ impl TableObserver for AsyncObserver {
         if !self.spec.touches(&columns.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>()) {
             return Ok(());
         }
-        match self.auq.enqueue(IndexTask::Maintain {
+        self.auq.enqueue(IndexTask::Maintain {
             row: Bytes::copy_from_slice(row),
             ts,
             is_delete: false,
             put_columns: columns.to_vec(),
-        }) {
-            Admission::Admitted => Ok(()),
-            Admission::Rejected(n) => {
-                Err(into_cluster_err(crate::error::IndexError::AuqFull { rejected: n }))
-            }
-        }
+        });
+        Ok(())
     }
 
     fn post_delete(
@@ -458,17 +385,13 @@ impl TableObserver for AsyncObserver {
         if !self.spec.touches(columns) {
             return Ok(());
         }
-        match self.auq.enqueue(IndexTask::Maintain {
+        self.auq.enqueue(IndexTask::Maintain {
             row: Bytes::copy_from_slice(row),
             ts,
             is_delete: true,
             put_columns: Vec::new(),
-        }) {
-            Admission::Admitted => Ok(()),
-            Admission::Rejected(n) => {
-                Err(into_cluster_err(crate::error::IndexError::AuqFull { rejected: n }))
-            }
-        }
+        });
+        Ok(())
     }
 
     replay_and_flush_impl!();

@@ -921,96 +921,6 @@ mod tests {
     use super::*;
     use tempdir_lite::TempDir;
 
-    #[test]
-    #[ignore = "manual layer-timing probe; run with --ignored --nocapture"]
-    fn layer_timing_probe() {
-        let dir = TempDir::new("probe").unwrap();
-        let opts = LsmOptions {
-            block_cache: Some(Arc::new(BlockCache::new(256 * 1024 * 1024))),
-            auto_flush: false,
-            auto_compact: false,
-            compaction_trigger: 0,
-            ..LsmOptions::default()
-        };
-        let db = LsmTree::open(dir.path().join("db"), opts).unwrap();
-        const KEYS: u64 = 50_000;
-        let key = |id: u64| Bytes::from(format!("user{id:08}"));
-        for id in 0..KEYS {
-            db.put(key(id), id + 1, vec![b'v'; 100]).unwrap();
-            if id % 10_000 == 9_999 && id != KEYS - 1 {
-                db.flush().unwrap();
-            }
-        }
-        db.flush().unwrap();
-        for id in (0..KEYS).step_by(5) {
-            db.put(key(id), KEYS + id + 1, vec![b'w'; 100]).unwrap();
-        }
-        for id in 0..KEYS {
-            db.get_latest(&key(id)).unwrap();
-        }
-        // Pre-generate keys so keygen is measured separately.
-        let mut seed = 0xC0FFEEu64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) % KEYS
-        };
-        let probes: Vec<Bytes> = (0..30_000).map(|_| key(next())).collect();
-        let time = |label: &str, f: &mut dyn FnMut()| {
-            let t0 = std::time::Instant::now();
-            f();
-            println!("{label:30} {:>8.1} ns/op", t0.elapsed().as_nanos() as f64 / 30_000.0);
-        };
-        time("keygen", &mut || {
-            let mut n = next;
-            for _ in 0..30_000 {
-                std::hint::black_box(key(n()));
-            }
-        });
-        time("snapshot_clone", &mut || {
-            for _ in 0..30_000 {
-                std::hint::black_box(db.snapshot());
-            }
-        });
-        let snap = db.snapshot();
-        time("memtable_probe", &mut || {
-            for k in &probes {
-                std::hint::black_box(snap.active.read().get_versioned(k, u64::MAX));
-            }
-        });
-        time("range_check_x5", &mut || {
-            for k in &probes {
-                for t in &snap.tables {
-                    std::hint::black_box(t.outside_key_range(k));
-                }
-            }
-        });
-        time("bloom_owning_table", &mut || {
-            for k in &probes {
-                for t in &snap.tables {
-                    if !t.outside_key_range(k) {
-                        std::hint::black_box(t.definitely_absent(k));
-                        break;
-                    }
-                }
-            }
-        });
-        time("probe_versioned_owning", &mut || {
-            for k in &probes {
-                for t in &snap.tables {
-                    if !t.outside_key_range(k) {
-                        std::hint::black_box(t.probe_versioned(k, u64::MAX).unwrap());
-                        break;
-                    }
-                }
-            }
-        });
-        time("full_get_latest", &mut || {
-            for k in &probes {
-                std::hint::black_box(db.get_latest(k).unwrap());
-            }
-        });
-    }
-
     fn small_opts() -> LsmOptions {
         LsmOptions {
             memtable_flush_bytes: 1024,

@@ -117,7 +117,7 @@ fn async_session_reads_your_writes_over_the_wire() {
 /// Table 1's RPC cost model, measured on the real dispatch path: an
 /// update-put costs 3 extra region ops under sync-full (RB read + PI put +
 /// DI delete), 1 under sync-insert (PI put), and 0 synchronously under
-/// async (deferred to the AUQ).
+/// async (deferred to the AUQ, where the same 3 ops run later).
 #[test]
 fn rpcs_per_update_put_match_table_1() {
     for (scheme, sync_index_ops) in [
@@ -126,44 +126,33 @@ fn rpcs_per_update_put_match_table_1() {
         (IndexScheme::AsyncSimple, 0),
     ] {
         let h = setup(scheme);
-        let auq = std::sync::Arc::clone(h.local_di.index("item", "title").unwrap().auq());
+        let auq = Arc::clone(h.local_di.index("item", "title").unwrap().auq());
         put_title(&h.client, "item1", "v1");
-        // The AUQ drains in the background, so a measurement window can be
-        // polluted by deferred ops landing inside it; detect that via the
-        // server-side completed counter and re-measure with a fresh value.
-        let mut measured = None;
-        for ver in 2..20 {
-            h.remote_di.quiesce("item"); // settle deferred work before measuring
-            let completed_before =
-                auq.metrics().completed.load(std::sync::atomic::Ordering::SeqCst);
-            let before = h.cluster.dispatch_metrics();
-            put_title(&h.client, "item1", &format!("v{ver}")); // value-changing update
-            let after = h.cluster.dispatch_metrics();
-            let completed_after =
-                auq.metrics().completed.load(std::sync::atomic::Ordering::SeqCst);
-            if completed_after != completed_before {
-                continue; // AUQ ran inside the window; the delta is not purely synchronous
-            }
-            measured = Some(after - before);
-            break;
-        }
-        let delta = measured.expect("no clean measurement window in 18 tries");
+        // Settle deferred work, then stall the APS so no background op can
+        // land inside the measurement window.
+        h.remote_di.quiesce("item");
+        auq.set_stalled(true);
+        let before = h.cluster.dispatch_metrics();
+        put_title(&h.client, "item1", "v2"); // value-changing update
+        let stalled = h.cluster.dispatch_metrics();
+        auq.set_stalled(false);
+        let delta = stalled - before;
         assert_eq!(delta.puts, 1, "{scheme:?}: exactly one base put");
         assert_eq!(
             delta.index_ops(),
             sync_index_ops,
             "{scheme:?}: synchronous index ops per update put (Table 1); delta = {delta:?}"
         );
-        if scheme == IndexScheme::AsyncSimple {
-            // The deferred work exists — it shows up once the AUQ drains.
-            let before = h.cluster.dispatch_metrics();
-            h.remote_di.quiesce("item");
-            let after = h.cluster.dispatch_metrics();
-            assert!(
-                (after - before).index_ops() >= 1,
-                "async work must surface after quiesce"
-            );
-        }
+        // The deferred work exists: under async it surfaces once the AUQ
+        // drains (RB + DI + PI); the sync schemes defer nothing.
+        h.remote_di.quiesce("item");
+        let deferred = h.cluster.dispatch_metrics() - stalled;
+        let deferred_index_ops = if scheme == IndexScheme::AsyncSimple { 3 } else { 0 };
+        assert_eq!(
+            deferred.index_ops(),
+            deferred_index_ops,
+            "{scheme:?}: deferred index ops per update put; delta = {deferred:?}"
+        );
         h.group.shutdown();
     }
 }
@@ -174,6 +163,10 @@ fn server_metrics_expose_per_opcode_traffic() {
     let h = setup(IndexScheme::SyncFull);
     put_title(&h.client, "item1", "metric");
     let _ = h.remote_di.get_by_index("item", "title", b"metric", 100).unwrap();
+    // A dispatched request records its metrics only after its response is
+    // written; shutdown waits for every dispatched request, so the counts
+    // below are complete.
+    h.group.shutdown();
     let totals: u64 = h
         .group
         .servers()
@@ -193,5 +186,4 @@ fn server_metrics_expose_per_opcode_traffic() {
             assert!(op.bytes_in > 0 && op.bytes_out > 0, "{op:?} recorded no bytes");
         }
     }
-    h.group.shutdown();
 }

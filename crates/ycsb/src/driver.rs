@@ -31,11 +31,6 @@ pub struct DriverConfig {
     pub zipfian: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Updates per client-side batch. `1` (the YCSB default) issues every
-    /// update individually; larger values buffer consecutive updates and
-    /// flush them through [`Target::update_batch`], amortizing WAL fsyncs
-    /// and round-trips. Reads are never batched.
-    pub batch_size: usize,
 }
 
 /// Aggregated driver results.
@@ -66,36 +61,8 @@ impl DriverReport {
 pub trait Target: Send + Sync {
     /// Apply an update to item `row` with the given columns.
     fn update(&self, row: &Bytes, columns: &[(Bytes, Bytes)]);
-    /// Apply several row updates as one client batch. The default forwards
-    /// to [`Target::update`] one row at a time; targets with a native
-    /// multi-row write API override this.
-    fn update_batch(&self, rows: &[(Bytes, Vec<(Bytes, Bytes)>)]) {
-        for (row, columns) in rows {
-            self.update(row, columns);
-        }
-    }
     /// Exact-match index read; returns the hit count.
     fn read_index(&self, title: &Bytes) -> usize;
-}
-
-/// Flush buffered updates through [`Target::update_batch`], attributing an
-/// equal share of the batch latency to every row so histogram counts keep
-/// matching operation counts.
-fn flush_updates<T: Target>(
-    target: &T,
-    pending: &mut Vec<(Bytes, Vec<(Bytes, Bytes)>)>,
-    hist: &mut Histogram,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let t0 = Instant::now();
-    target.update_batch(pending);
-    let per_row = t0.elapsed().as_micros() as u64 / pending.len() as u64;
-    for _ in 0..pending.len() {
-        hist.record(per_row);
-    }
-    pending.clear();
 }
 
 /// Run the closed loop and collect latency histograms.
@@ -116,8 +83,6 @@ pub fn run<T: Target>(target: &T, wl: &ItemWorkload, cfg: &DriverConfig) -> Driv
                 };
                 let mut ops = 0u64;
                 let mut op_rng = cfg.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ (t as u64) << 32;
-                let batch = cfg.batch_size.max(1);
-                let mut pending: Vec<(Bytes, Vec<(Bytes, Bytes)>)> = Vec::with_capacity(batch);
                 for _ in 0..cfg.ops_per_thread {
                     let id = keys.next_key();
                     // Cheap xorshift for the op-type coin.
@@ -130,16 +95,9 @@ pub fn run<T: Target>(target: &T, wl: &ItemWorkload, cfg: &DriverConfig) -> Driv
                         let ver = version.fetch_add(1, Ordering::Relaxed);
                         let row = wl.row_key(id);
                         let cols = wl.updated_row(id, ver);
-                        if batch == 1 {
-                            let t0 = Instant::now();
-                            target.update(&row, &cols);
-                            update_hist.record(t0.elapsed().as_micros() as u64);
-                        } else {
-                            pending.push((row, cols));
-                            if pending.len() >= batch {
-                                flush_updates(target, &mut pending, &mut update_hist);
-                            }
-                        }
+                        let t0 = Instant::now();
+                        target.update(&row, &cols);
+                        update_hist.record(t0.elapsed().as_micros() as u64);
                     } else {
                         let t0 = Instant::now();
                         let title = wl.title_of(id);
@@ -148,7 +106,6 @@ pub fn run<T: Target>(target: &T, wl: &ItemWorkload, cfg: &DriverConfig) -> Driv
                     }
                     ops += 1;
                 }
-                flush_updates(target, &mut pending, &mut update_hist);
                 (update_hist, read_hist, ops)
             }));
         }
@@ -203,7 +160,6 @@ mod tests {
             key_space: 1000,
             zipfian: true,
             seed: 9,
-            batch_size: 1,
         };
         let report = run(&target, &wl, &cfg);
         assert_eq!(report.ops, 1000);
@@ -231,58 +187,9 @@ mod tests {
             key_space: 100,
             zipfian: false,
             seed: 1,
-            batch_size: 1,
         };
         let report = run(&target, &wl, &cfg);
         assert_eq!(target.reads.load(Ordering::Relaxed), 0);
-        assert_eq!(report.update_hist.count(), 200);
-    }
-
-    struct BatchCountingTarget {
-        rows: AtomicU64,
-        batches: AtomicU64,
-        largest: AtomicU64,
-    }
-
-    impl Target for BatchCountingTarget {
-        fn update(&self, _row: &Bytes, _columns: &[(Bytes, Bytes)]) {
-            self.rows.fetch_add(1, Ordering::Relaxed);
-        }
-        fn update_batch(&self, rows: &[(Bytes, Vec<(Bytes, Bytes)>)]) {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.rows.fetch_add(rows.len() as u64, Ordering::Relaxed);
-            self.largest.fetch_max(rows.len() as u64, Ordering::Relaxed);
-        }
-        fn read_index(&self, _title: &Bytes) -> usize {
-            0
-        }
-    }
-
-    #[test]
-    fn batched_driver_groups_updates_without_losing_any() {
-        let target = BatchCountingTarget {
-            rows: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            largest: AtomicU64::new(0),
-        };
-        let wl = ItemWorkload::new(100, 10_000, 1);
-        let cfg = DriverConfig {
-            threads: 2,
-            ops_per_thread: 100,
-            mix: OpMix::update_only(),
-            key_space: 100,
-            zipfian: false,
-            seed: 1,
-            batch_size: 16,
-        };
-        let report = run(&target, &wl, &cfg);
-        // Every update arrives exactly once, via the batch API, in batches
-        // no larger than configured; the trailing partial batch flushes too.
-        assert_eq!(target.rows.load(Ordering::Relaxed), 200);
-        let batches = target.batches.load(Ordering::Relaxed);
-        assert_eq!(batches, 14, "2 threads x (6 full + 1 trailing partial) batches");
-        assert!(target.largest.load(Ordering::Relaxed) <= 16);
-        // Latency attribution keeps histogram counts equal to op counts.
         assert_eq!(report.update_hist.count(), 200);
     }
 }

@@ -9,8 +9,8 @@
 //! with an adaptive batch size targeting a fixed per-benchmark time budget.
 //!
 //! Extra over the real crate: `--json <path>` (or `CRITERION_JSON=<path>`)
-//! appends one JSON object per benchmark to a file, which the repo's
-//! `hotpath` harness uses to emit machine-readable results.
+//! appends one JSON object per benchmark to a file, for machine-readable
+//! results.
 
 #![warn(missing_docs)]
 

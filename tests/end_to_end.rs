@@ -57,7 +57,6 @@ fn ycsb_driver_runs_item_workload_on_every_scheme() {
                 key_space: 200,
                 zipfian: true,
                 seed: 11,
-                batch_size: 1,
             },
         );
         assert_eq!(report.ops, 400, "scheme {scheme}");
