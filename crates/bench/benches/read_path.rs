@@ -25,8 +25,7 @@ fn key(id: u64) -> Bytes {
 fn build_tree(dir: &TempDir) -> LsmTree {
     let opts = LsmOptions {
         block_cache: Some(Arc::new(BlockCache::new(256 * 1024 * 1024))),
-        auto_flush: false,
-        auto_compact: false,
+        memtable_flush_bytes: usize::MAX,
         compaction_trigger: 0,
         ..LsmOptions::default()
     };

@@ -19,7 +19,6 @@ fn durable_cluster() -> (TempDir, Cluster) {
     let lsm = LsmOptions {
         wal_sync: true,
         memtable_flush_bytes: 32 * 1024 * 1024,
-        auto_compact: false,
         compaction_trigger: 0,
         ..LsmOptions::default()
     };

@@ -16,8 +16,8 @@
 //!
 //! ## End-of-run phases (order matters)
 //!
-//! 1. **Un-wedge**: resume stalled AUQ workers, disarm every injector,
-//!    clear pending response-drops — no armed fault may leak into
+//! 1. **Un-wedge**: resume stalled AUQ workers and disarm the fault plan
+//!    (pending response-drops included) — no armed fault may leak into
 //!    verification.
 //! 2. **Repair** (faulty schedules only): crash + recover every server in
 //!    turn. WAL replay re-applies staged writes and re-enqueues index
@@ -37,7 +37,7 @@ use crate::schedule::{
     NUM_VALUES,
 };
 use bytes::Bytes;
-use diff_index_cluster::{Cluster, ClusterOptions, HealthMonitor, HealthOptions};
+use diff_index_cluster::{Cluster, ClusterOptions, FaultPoint, HealthMonitor, HealthOptions};
 use diff_index_core::{
     DiffIndex, IndexScheme, IndexSpec, RecordingStore, Session, Store, WriteKind, WriteOutcome,
     WriteRecord,
@@ -150,7 +150,7 @@ fn build_env(sched: &Schedule, opts: &RunOptions) -> Result<Env, String> {
             wal_sync: sched.wal_sync,
             memtable_flush_bytes: 8 * 1024 * 1024,
             version_retention: u64::MAX,
-            auto_compact: false,
+            compaction_trigger: 0,
             ..Default::default()
         },
     };
@@ -230,11 +230,6 @@ pub fn run_seed(seed: u64, scheme: IndexScheme, opts: &RunOptions) -> RunOutcome
     // ---- end-of-run: un-wedge, repair, quiesce, check -------------------
     set_auq_stalled(&env, false);
     env.cluster.faults().disarm_all();
-    if let Some(group) = &env.group {
-        for s in group.servers() {
-            s.clear_drop_next_response();
-        }
-    }
     if sched.has_faults() {
         if let Err(e) = repair_all(&env.cluster) {
             violations.push(Violation { check: "harness", detail: format!("repair: {e}") });
@@ -367,9 +362,9 @@ fn drive(sched: &Schedule, env: &Env, opts: &RunOptions) -> Vec<Violation> {
 
 fn inject(fault: &Fault, env: &Env) {
     match fault {
-        Fault::CrashNextPut => env.cluster.faults().arm_crash_on_next_put(),
-        Fault::FsyncFail { count } => env.cluster.faults().lsm().arm_fsync_failures(*count),
-        Fault::AppendFail { count } => env.cluster.faults().lsm().arm_append_failures(*count),
+        Fault::CrashNextPut => env.cluster.faults().arm(FaultPoint::CrashMidPut, 1),
+        Fault::FsyncFail { count } => env.cluster.faults().arm(FaultPoint::WalFsync, *count),
+        Fault::AppendFail { count } => env.cluster.faults().arm(FaultPoint::WalAppend, *count),
         Fault::CrashServer { server } => env.cluster.crash_server(*server),
         // Handled in `drive` (needs session bookkeeping + the recorder).
         Fault::ResurrectZombie { .. } => unreachable!("handled in drive"),
@@ -379,9 +374,7 @@ fn inject(fault: &Fault, env: &Env) {
             }
         }
         Fault::DropNextResponse { server } => {
-            if let Some(group) = &env.group {
-                group.servers()[*server as usize].drop_next_response();
-            }
+            env.cluster.faults().arm(FaultPoint::DropResponse(*server), 1);
         }
         Fault::StallAuq => set_auq_stalled(env, true),
         Fault::ResumeAuq => set_auq_stalled(env, false),

@@ -13,10 +13,11 @@ use crate::coproc::{ColumnValue, ReplayedOp, TableObserver};
 use crate::encoding::{cell_key, decode_cell_key, escape_no_term, prefix_end, row_end, row_start};
 use crate::error::{ClusterError, Result};
 use crate::fanout::FanoutPool;
-use crate::faults::FaultPlan;
 use crate::keyspace::{PartitionMap, RegionId, RegionSpec, ServerId};
 use bytes::Bytes;
-use diff_index_lsm::{Cell, CellKind, LsmOptions, LsmTree, MetricsSnapshot, VersionedValue};
+use diff_index_lsm::{
+    Cell, CellKind, FaultPlan, FaultPoint, LsmOptions, LsmTree, MetricsSnapshot, VersionedValue,
+};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
@@ -203,8 +204,9 @@ struct Inner {
     /// specs, per-region stages of batched puts, and the SU2 ∥ SU3/SU4
     /// split inside sync index maintenance.
     fanout: FanoutPool,
-    /// Chaos-testing fault surface; unarmed (and free) in production.
-    faults: FaultPlan,
+    /// Chaos-testing fault surface, shared with every region engine and
+    /// network server of this cluster; unarmed (and free) in production.
+    faults: Arc<FaultPlan>,
     /// §5.3 recovery bookkeeping (how often, how much moved/replayed).
     recoveries: AtomicU64,
     regions_recovered: AtomicU64,
@@ -304,7 +306,7 @@ impl Cluster {
                 dispatch: DispatchCounters::default(),
                 next_observer_id: AtomicU64::new(1),
                 fanout: FanoutPool::new_default(),
-                faults: FaultPlan::default(),
+                faults: Arc::default(),
                 recoveries: AtomicU64::new(0),
                 regions_recovered: AtomicU64::new(0),
                 replayed_ops: AtomicU64::new(0),
@@ -379,12 +381,15 @@ impl Cluster {
         region: RegionId,
     ) -> Result<(Arc<LsmTree>, Vec<Cell>)> {
         let dir = self.inner.dir.join(table).join(format!("region-{region:04}"));
-        let (engine, replayed) = LsmTree::open_with_replay(dir, self.inner.opts.lsm.clone())?;
-        let engine = Arc::new(engine);
         // Every engine — including ones reopened by recovery — shares the
-        // cluster's fault injector, so armed WAL faults fire wherever the
-        // next matching operation lands.
-        engine.set_fault_injector(Arc::clone(self.inner.faults.lsm()));
+        // cluster's fault plan, so armed WAL faults fire wherever the next
+        // matching operation lands.
+        let (engine, replayed) = LsmTree::open_with_replay(
+            dir,
+            self.inner.opts.lsm.clone(),
+            Arc::clone(&self.inner.faults),
+        )?;
+        let engine = Arc::new(engine);
         // Wire engine flush events to table observers (drain-AUQ-before-flush).
         let weak: Weak<Inner> = Arc::downgrade(&self.inner);
         let t = table.to_string();
@@ -530,7 +535,7 @@ impl Cluster {
             region.engine.complete(handle)?;
         }
         drop(region);
-        if self.inner.faults.take_crash_next_put() {
+        if self.inner.faults.take(FaultPoint::CrashMidPut) {
             // Injected crash in the §5.3 window: the base write is durable
             // (staged + completed above) but the server dies before its
             // coprocessors maintain the index and before the client is
@@ -1260,8 +1265,6 @@ mod tests {
             lsm: LsmOptions {
                 memtable_flush_bytes: 8 * 1024,
                 table: TableOptions { block_size: 512, bloom_bits_per_key: 10 },
-                auto_flush: true,
-                auto_compact: true,
                 compaction_trigger: 4,
                 version_retention: u64::MAX, // keep all versions in tests
                 ..LsmOptions::default()

@@ -27,16 +27,15 @@ pub mod coproc;
 pub mod encoding;
 pub mod error;
 pub mod fanout;
-pub mod faults;
 pub mod health;
 pub mod keyspace;
 
 pub use cluster::{
     Cluster, ClusterOptions, DispatchSnapshot, PutOutcome, RecoveryStats, RowGroup, WeakCluster,
 };
-pub use faults::FaultPlan;
 pub use coproc::{ColumnValue, ReplayedOp, TableObserver};
 pub use fanout::FanoutPool;
 pub use error::{ClusterError, Result};
+pub use diff_index_lsm::{FaultPlan, FaultPoint};
 pub use health::{HealthMetrics, HealthMonitor, HealthOptions, HealthState};
 pub use keyspace::{PartitionMap, RegionId, RegionSpec, ServerId};

@@ -53,7 +53,7 @@ fn drain_before_flush_leaves_no_dangling_tasks() {
 }
 
 #[test]
-fn auto_flush_under_write_pressure_also_drains() {
+fn threshold_flush_under_write_pressure_also_drains() {
     // Memtable-threshold flushes (not just explicit ones) must run the same
     // pause-drain-resume protocol without deadlocking.
     let (_d, cluster, di) = setup(IndexScheme::AsyncSimple, 1);

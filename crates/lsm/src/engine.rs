@@ -40,7 +40,7 @@
 
 use crate::cache::BlockCache;
 use crate::compaction::{gc_merge, should_compact, GcPolicy};
-use crate::faults::FaultInjector;
+use crate::faults::{injected_error, FaultPlan, FaultPoint};
 use crate::memtable::MemTable;
 use crate::merge::{MergeIter, VisibleIter};
 use crate::metrics::Metrics;
@@ -55,7 +55,8 @@ use std::sync::Arc;
 /// Engine tuning options.
 #[derive(Clone)]
 pub struct LsmOptions {
-    /// Flush the memtable once its approximate size exceeds this.
+    /// Flush the memtable once its approximate size exceeds this
+    /// (`usize::MAX` = never; flush only on demand).
     pub memtable_flush_bytes: usize,
     /// SSTable construction knobs.
     pub table: TableOptions,
@@ -68,10 +69,6 @@ pub struct LsmOptions {
     /// Shadowed versions younger than this many timestamp units survive
     /// compaction, so recent `RB(k, t−δ)` snapshot reads stay answerable.
     pub version_retention: Timestamp,
-    /// Automatically flush when the memtable crosses the threshold.
-    pub auto_flush: bool,
-    /// Automatically compact when the trigger is reached after a flush.
-    pub auto_compact: bool,
 }
 
 impl Default for LsmOptions {
@@ -83,8 +80,6 @@ impl Default for LsmOptions {
             block_cache: Some(Arc::new(BlockCache::new(32 * 1024 * 1024))),
             compaction_trigger: 4,
             version_retention: 60_000,
-            auto_flush: true,
-            auto_compact: true,
         }
     }
 }
@@ -104,13 +99,6 @@ impl std::fmt::Debug for LsmOptions {
 /// hook that pauses and drains the AUQ (the paper's Figure 5: "1. pause &
 /// drain" happens before "2. flush" and "3. roll forward").
 pub type FlushHook = Box<dyn Fn() + Send + Sync>;
-
-/// Which engine crash point is asking the fault injector.
-#[derive(Clone, Copy)]
-enum FaultKind {
-    Fsync,
-    Append,
-}
 
 /// A memtable handle shared between the write path and snapshots. Only the
 /// snapshot's *active* handle is ever written to; frozen handles are
@@ -177,9 +165,9 @@ pub struct LsmTree {
     metrics: Arc<Metrics>,
     pre_flush_hooks: RwLock<Vec<FlushHook>>,
     post_flush_hooks: RwLock<Vec<FlushHook>>,
-    /// Optional chaos-testing hook: armed failures consumed at the WAL
-    /// append and fsync crash points. `None` in production.
-    faults: RwLock<Option<Arc<FaultInjector>>>,
+    /// Fault plan consulted at the WAL append and fsync crash points;
+    /// shared with the owning cluster, unarmed in production.
+    faults: Arc<FaultPlan>,
 }
 
 impl std::fmt::Debug for LsmTree {
@@ -200,14 +188,18 @@ impl LsmTree {
     /// Open (or create) an engine under `dir`, replaying any WAL segments
     /// left behind by a crash.
     pub fn open(dir: impl Into<PathBuf>, opts: LsmOptions) -> Result<Self> {
-        Ok(Self::open_with_replay(dir, opts)?.0)
+        Ok(Self::open_with_replay(dir, opts, Arc::default())?.0)
     }
 
-    /// Like [`LsmTree::open`], but also returns the cells recovered from WAL
-    /// replay. Diff-Index's failure-recovery protocol (§5.3 of the paper)
-    /// re-enqueues every replayed base put into the AUQ, so the caller needs
-    /// to see them.
-    pub fn open_with_replay(dir: impl Into<PathBuf>, opts: LsmOptions) -> Result<(Self, Vec<Cell>)> {
+    /// Like [`LsmTree::open`], but consults `faults` at the WAL crash points
+    /// and also returns the cells recovered from WAL replay. Diff-Index's
+    /// failure-recovery protocol (§5.3 of the paper) re-enqueues every
+    /// replayed base put into the AUQ, so the caller needs to see them.
+    pub fn open_with_replay(
+        dir: impl Into<PathBuf>,
+        opts: LsmOptions,
+        faults: Arc<FaultPlan>,
+    ) -> Result<(Self, Vec<Cell>)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let metrics = Arc::new(Metrics::new());
@@ -281,7 +273,7 @@ impl LsmTree {
             metrics,
             pre_flush_hooks: RwLock::new(Vec::new()),
             post_flush_hooks: RwLock::new(Vec::new()),
-            faults: RwLock::new(None),
+            faults,
         };
         Ok((tree, replayed))
     }
@@ -304,25 +296,6 @@ impl LsmTree {
     /// Register a hook that runs immediately after each memtable flush.
     pub fn add_post_flush_hook(&self, hook: FlushHook) {
         self.post_flush_hooks.write().push(hook);
-    }
-
-    /// Attach a [`FaultInjector`] whose armed failures fire at this
-    /// engine's WAL crash points (chaos testing only). One injector may be
-    /// shared by many engines; whichever engine performs the next matching
-    /// operation consumes the armed failure.
-    pub fn set_fault_injector(&self, injector: Arc<FaultInjector>) {
-        *self.faults.write() = Some(injector);
-    }
-
-    /// True if an armed `kind` failure was consumed and the caller must
-    /// fail the current operation.
-    fn injected(&self, kind: FaultKind) -> bool {
-        let guard = self.faults.read();
-        match (guard.as_ref(), kind) {
-            (Some(f), FaultKind::Fsync) => f.take_fsync_failure(),
-            (Some(f), FaultKind::Append) => f.take_append_failure(),
-            (None, _) => false,
-        }
     }
 
     /// Clone the current snapshot `Arc`. The lock protects only the pointer
@@ -370,10 +343,10 @@ impl LsmTree {
         if cells.is_empty() {
             return Ok(None);
         }
-        if self.injected(FaultKind::Append) {
+        if self.faults.take(FaultPoint::WalAppend) {
             // Injected *before* anything is staged: the write fails
             // wholesale, exactly like a disk-full on the WAL append.
-            return Err(FaultInjector::injected_error("wal append"));
+            return Err(injected_error("wal append"));
         }
         let mut ws = self.write_state.lock();
         let wal = ws
@@ -400,8 +373,7 @@ impl LsmTree {
             }
             active.insert(c.clone());
         }
-        let needs_flush =
-            self.opts.auto_flush && active.approximate_bytes() >= self.opts.memtable_flush_bytes;
+        let needs_flush = active.approximate_bytes() >= self.opts.memtable_flush_bytes;
         Ok(Some(WriteHandle { seq, needs_flush }))
     }
 
@@ -471,12 +443,12 @@ impl LsmTree {
                 .ok_or_else(|| LsmError::InvalidOperation("engine closed".into()))?;
             (wal.flush_and_clone()?, upto)
         };
-        if self.injected(FaultKind::Fsync) {
+        if self.faults.take(FaultPoint::WalFsync) {
             // The buffer already reached the OS file (flush_and_clone), so
             // the record is *applied but unacked*: a crash + replay will
             // recover it even though the writer saw an error — §5.3's
             // ambiguous-outcome window, which recovery must repair.
-            return Err(FaultInjector::injected_error("wal fsync"));
+            return Err(injected_error("wal fsync"));
         }
         file.sync_data()?;
         Ok(upto)
@@ -622,7 +594,7 @@ impl LsmTree {
         } // release the maintenance lock before compacting (non-reentrant)
 
         let table_count = self.snapshot().tables.len();
-        if self.opts.auto_compact && should_compact(table_count, self.opts.compaction_trigger) {
+        if should_compact(table_count, self.opts.compaction_trigger) {
             self.compact()?;
         }
         Ok(())
@@ -929,13 +901,11 @@ mod tests {
             block_cache: Some(Arc::new(BlockCache::new(1 << 20))),
             compaction_trigger: 4,
             version_retention: 10,
-            auto_flush: true,
-            auto_compact: true,
         }
     }
 
     fn manual_opts() -> LsmOptions {
-        LsmOptions { auto_flush: false, auto_compact: false, ..small_opts() }
+        LsmOptions { memtable_flush_bytes: usize::MAX, compaction_trigger: 0, ..small_opts() }
     }
 
     #[test]
@@ -1046,9 +1016,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_flush_on_threshold() {
+    fn memtable_flushes_on_threshold() {
         let dir = TempDir::new("lsm").unwrap();
-        let db = LsmTree::open(dir.path(), LsmOptions { auto_compact: false, ..small_opts() })
+        let db = LsmTree::open(dir.path(), LsmOptions { compaction_trigger: 0, ..small_opts() })
             .unwrap();
         for i in 0..100 {
             db.put(format!("key{i:04}"), i, vec![b'x'; 64]).unwrap();
@@ -1061,7 +1031,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_compaction_keeps_table_count_bounded() {
+    fn compaction_trigger_keeps_table_count_bounded() {
         let dir = TempDir::new("lsm").unwrap();
         let db = LsmTree::open(dir.path(), small_opts()).unwrap();
         for i in 0..400 {
@@ -1244,7 +1214,7 @@ mod tests {
     fn concurrent_readers_and_writer() {
         let dir = TempDir::new("lsm").unwrap();
         let db = Arc::new(
-            LsmTree::open(dir.path(), LsmOptions { auto_compact: true, ..small_opts() }).unwrap(),
+            LsmTree::open(dir.path(), small_opts()).unwrap(),
         );
         let writer = {
             let db = Arc::clone(&db);
@@ -1380,8 +1350,8 @@ mod cache_sharing_tests {
         let cache = Arc::new(BlockCache::new(1 << 20));
         let opts = || LsmOptions {
             block_cache: Some(Arc::clone(&cache)),
-            auto_flush: false,
-            auto_compact: false,
+            memtable_flush_bytes: usize::MAX,
+            compaction_trigger: 0,
             ..LsmOptions::default()
         };
         let a = LsmTree::open(dir.path().join("a"), opts()).unwrap();

@@ -42,7 +42,7 @@ pub mod wal;
 
 pub use cache::BlockCache;
 pub use engine::{FlushHook, LsmOptions, LsmTree, WriteHandle};
-pub use faults::FaultInjector;
+pub use faults::{FaultPlan, FaultPoint};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use sstable::{Block, TableOptions};
 pub use types::{Cell, CellKind, InternalKey, LsmError, Result, Timestamp, VersionedValue, DELTA};

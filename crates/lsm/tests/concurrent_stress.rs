@@ -99,8 +99,7 @@ fn reads_complete_while_flush_and_compaction_run() {
     let dir = TempDir::new("stress").unwrap();
     let opts = LsmOptions {
         block_cache: Some(Arc::new(BlockCache::new(64 * 1024 * 1024))),
-        auto_flush: false,
-        auto_compact: false,
+        memtable_flush_bytes: usize::MAX,
         compaction_trigger: 0,
         wal_sync: false,
         ..LsmOptions::default()

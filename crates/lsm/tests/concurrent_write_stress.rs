@@ -34,10 +34,8 @@ fn ts(writer: usize, op: u64) -> u64 {
 fn durable_opts() -> LsmOptions {
     LsmOptions {
         wal_sync: true,
-        auto_flush: false,
-        auto_compact: false,
         compaction_trigger: 0,
-        memtable_flush_bytes: 64 * 1024 * 1024,
+        memtable_flush_bytes: usize::MAX,
         ..LsmOptions::default()
     }
 }

@@ -38,8 +38,6 @@ fn opts() -> LsmOptions {
         block_cache: Some(Arc::new(BlockCache::new(64 * 1024))),
         compaction_trigger: 3,
         version_retention: u64::MAX, // keep all versions: snapshots stay valid
-        auto_flush: true,
-        auto_compact: true,
     }
 }
 

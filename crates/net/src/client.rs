@@ -51,36 +51,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Client tuning knobs.
-#[derive(Debug, Clone)]
-pub struct RemoteClientOptions {
-    /// Per-request deadline (connect, send, receive).
-    pub request_timeout: Duration,
-    /// Deadline for index administration requests (`CREATE INDEX` backfills;
-    /// `Quiesce` blocks until AUQs drain), which legitimately run long.
-    pub admin_timeout: Duration,
-    /// Total attempts per request (first try included).
-    pub max_attempts: u32,
-    /// Base backoff between attempts; doubles per retry, capped at 100 ms.
-    /// The actual sleep is jittered (half fixed, half uniform-random) so a
-    /// cohort of clients retrying after one failover event spreads out
-    /// instead of stampeding the new owner in lockstep.
-    pub backoff: Duration,
-    /// Idle pooled connections kept per server address.
-    pub pool_per_addr: usize,
-}
-
-impl Default for RemoteClientOptions {
-    fn default() -> Self {
-        Self {
-            request_timeout: Duration::from_secs(5),
-            admin_timeout: Duration::from_secs(60),
-            max_attempts: 4,
-            backoff: Duration::from_millis(2),
-            pool_per_addr: 4,
-        }
-    }
-}
+/// Per-request deadline (connect, send, receive).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+/// Deadline for index administration requests (`CREATE INDEX` backfills;
+/// `Quiesce` blocks until AUQs drain), which legitimately run long.
+const ADMIN_TIMEOUT: Duration = Duration::from_secs(60);
+/// Total attempts per request (first try included).
+const MAX_ATTEMPTS: u32 = 4;
+/// Base backoff between attempts; doubles per retry, capped at 100 ms.
+/// The actual sleep is jittered (half fixed, half uniform-random) so a
+/// cohort of clients retrying after one failover event spreads out
+/// instead of stampeding the new owner in lockstep.
+const BACKOFF: Duration = Duration::from_millis(2);
+/// Idle pooled connections kept per server address.
+const POOL_PER_ADDR: usize = 4;
 
 /// A cached table partition map: `(region start key, owner, epoch)` sorted
 /// by start key. The epoch stamps every write routed through the entry;
@@ -90,7 +74,6 @@ type TableMap = Arc<Vec<(Bytes, ServerId, u64)>>;
 
 struct ClientInner {
     bootstrap: Vec<String>,
-    opts: RemoteClientOptions,
     /// `server id -> address`, refreshed from the servers' shared roster.
     roster: Mutex<BTreeMap<ServerId, String>>,
     /// Cached per-table partition maps: `(region start key, owner)` sorted
@@ -118,13 +101,11 @@ impl std::fmt::Debug for RemoteClient {
 impl RemoteClient {
     /// Connect to a cluster through one or more bootstrap addresses and
     /// fetch the initial roster.
-    pub fn connect(bootstrap: Vec<String>, opts: RemoteClientOptions) -> Result<RemoteClient> {
+    pub fn connect_default(bootstrap: Vec<String>) -> Result<RemoteClient> {
         assert!(!bootstrap.is_empty(), "need at least one bootstrap address");
-        assert!(opts.max_attempts >= 1, "max_attempts must be at least 1");
         let client = RemoteClient {
             inner: Arc::new(ClientInner {
                 bootstrap,
-                opts,
                 roster: Mutex::new(BTreeMap::new()),
                 maps: Mutex::new(HashMap::new()),
                 pool: Mutex::new(HashMap::new()),
@@ -133,11 +114,6 @@ impl RemoteClient {
         };
         client.refresh_roster()?;
         Ok(client)
-    }
-
-    /// [`RemoteClient::connect`] with default options.
-    pub fn connect_default(bootstrap: Vec<String>) -> Result<RemoteClient> {
-        Self::connect(bootstrap, RemoteClientOptions::default())
     }
 
     // -- transport -----------------------------------------------------------
@@ -149,7 +125,7 @@ impl RemoteClient {
         let sa = addr
             .parse::<std::net::SocketAddr>()
             .map_err(|e| ClusterError::Io(format!("bad address {addr}: {e}")))?;
-        let conn = TcpStream::connect_timeout(&sa, self.inner.opts.request_timeout)
+        let conn = TcpStream::connect_timeout(&sa, REQUEST_TIMEOUT)
             .map_err(|e| ClusterError::Io(format!("connect {addr}: {e}")))?;
         let _ = conn.set_nodelay(true);
         Ok(conn)
@@ -158,7 +134,7 @@ impl RemoteClient {
     fn checkin(&self, addr: &str, conn: TcpStream) {
         let mut pool = self.inner.pool.lock();
         let conns = pool.entry(addr.to_string()).or_default();
-        if conns.len() < self.inner.opts.pool_per_addr {
+        if conns.len() < POOL_PER_ADDR {
             conns.push(conn);
         }
     }
@@ -214,7 +190,7 @@ impl RemoteClient {
     fn refresh_roster(&self) -> Result<()> {
         let mut last = ClusterError::Io("no servers reachable".into());
         for addr in self.candidate_addrs() {
-            match self.exchange(&addr, OpCode::Roster, &[], self.inner.opts.request_timeout) {
+            match self.exchange(&addr, OpCode::Roster, &[], REQUEST_TIMEOUT) {
                 Ok(body) => {
                     let mut r = BodyReader::new(&body);
                     let n = r.count()?;
@@ -271,6 +247,19 @@ impl RemoteClient {
         let _ = self.refresh_roster();
     }
 
+    /// Invalidate after a failed exchange whose error says the cached map
+    /// is stale: the region moved, its host died, or its epoch changed.
+    fn invalidate_if_stale(&self, table: &str, e: &ClusterError) {
+        if matches!(
+            e,
+            ClusterError::NotServing { .. }
+                | ClusterError::ServerDown(_)
+                | ClusterError::StaleEpoch { .. }
+        ) {
+            self.invalidate(table);
+        }
+    }
+
     /// Owner and epoch of `row`'s region under the cached map — the
     /// client-side mirror of `PartitionMap::server_for`: regions are sorted
     /// by start key and a key belongs to the last region starting at or
@@ -281,11 +270,6 @@ impl RemoteClient {
         let idx = map.partition_point(|(start, _, _)| start.as_ref() <= key.as_ref());
         let (_, server, epoch) = &map[idx.saturating_sub(1)];
         Ok((*server, *epoch))
-    }
-
-    /// Owner of `row` under the cached map (reads don't stamp epochs).
-    fn owner_of(&self, table: &str, row: &[u8]) -> Result<ServerId> {
-        Ok(self.route_of(table, row)?.0)
     }
 
     fn addr_of(&self, server: ServerId) -> Result<String> {
@@ -302,8 +286,7 @@ impl RemoteClient {
     }
 
     fn backoff(&self, attempt: u32) {
-        let base = self.inner.opts.backoff.max(Duration::from_micros(100));
-        let ceiling = base.saturating_mul(1 << attempt.min(6)).min(Duration::from_millis(100));
+        let ceiling = BACKOFF.saturating_mul(1 << attempt.min(6)).min(Duration::from_millis(100));
         // Equal jitter: sleep half the exponential ceiling plus a uniform
         // random slice of the other half. One failover event wakes every
         // blocked client at once; without jitter they would all retry the
@@ -319,48 +302,12 @@ impl RemoteClient {
 
     /// Row-addressed request: route by cached map, retry with invalidation
     /// on routing staleness and with plain re-send on ambiguous transport
-    /// failures (see module docs for why that is safe).
-    fn request_routed(&self, table: &str, row: &[u8], op: OpCode, body: &[u8]) -> Result<Bytes> {
-        let mut last = None;
-        for attempt in 0..self.inner.opts.max_attempts {
-            if attempt > 0 {
-                self.backoff(attempt - 1);
-            }
-            let target = self.owner_of(table, row).and_then(|owner| self.addr_of(owner));
-            let addr = match target {
-                Ok(a) => a,
-                Err(e) if e.is_retryable() => {
-                    self.invalidate(table);
-                    last = Some(e);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            match self.exchange(&addr, op, body, self.inner.opts.request_timeout) {
-                Ok(b) => return Ok(b),
-                Err(e) if e.is_retryable() => {
-                    if matches!(
-                        e,
-                        ClusterError::NotServing { .. }
-                            | ClusterError::ServerDown(_)
-                            | ClusterError::StaleEpoch { .. }
-                    ) {
-                        self.invalidate(table);
-                    }
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| ClusterError::Io("request retries exhausted".into())))
-    }
-
-    /// Row-addressed *write*: like [`RemoteClient::request_routed`], but the
-    /// body is rebuilt per attempt with the current epoch of the row's
-    /// region, so a retry after `StaleEpoch`/`ServerDown` invalidation is
-    /// automatically re-stamped from the refreshed map — client-transparent
-    /// failover.
-    fn request_routed_write(
+    /// failures (see module docs for why that is safe). The body is rebuilt
+    /// per attempt from the current epoch of the row's region, so a write
+    /// retried after `StaleEpoch`/`ServerDown` invalidation is re-stamped
+    /// from the refreshed map: client-transparent failover. Reads ignore
+    /// the epoch.
+    fn request_routed(
         &self,
         table: &str,
         row: &[u8],
@@ -368,7 +315,7 @@ impl RemoteClient {
         build: impl Fn(u64) -> Bytes,
     ) -> Result<Bytes> {
         let mut last = None;
-        for attempt in 0..self.inner.opts.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.backoff(attempt - 1);
             }
@@ -384,17 +331,10 @@ impl RemoteClient {
                 }
                 Err(e) => return Err(e),
             };
-            match self.exchange(&addr, op, &build(epoch), self.inner.opts.request_timeout) {
+            match self.exchange(&addr, op, &build(epoch), REQUEST_TIMEOUT) {
                 Ok(b) => return Ok(b),
                 Err(e) if e.is_retryable() => {
-                    if matches!(
-                        e,
-                        ClusterError::NotServing { .. }
-                            | ClusterError::ServerDown(_)
-                            | ClusterError::StaleEpoch { .. }
-                    ) {
-                        self.invalidate(table);
-                    }
+                    self.invalidate_if_stale(table, &e);
                     last = Some(e);
                 }
                 Err(e) => return Err(e),
@@ -412,7 +352,7 @@ impl RemoteClient {
         timeout: Duration,
     ) -> Result<Bytes> {
         let mut last = None;
-        for attempt in 0..self.inner.opts.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.backoff(attempt - 1);
             }
@@ -431,7 +371,7 @@ impl RemoteClient {
     }
 
     fn request_any(&self, op: OpCode, body: &[u8]) -> Result<Bytes> {
-        self.request_any_with_timeout(op, body, self.inner.opts.request_timeout)
+        self.request_any_with_timeout(op, body, REQUEST_TIMEOUT)
     }
 
     /// Liveness probe against any server.
@@ -445,7 +385,7 @@ impl RemoteClient {
     /// not mask it.
     pub fn ping_server(&self, server: ServerId) -> Result<()> {
         let addr = self.addr_of(server)?;
-        self.exchange(&addr, OpCode::Ping, &[], self.inner.opts.request_timeout).map(|_| ())
+        self.exchange(&addr, OpCode::Ping, &[], REQUEST_TIMEOUT).map(|_| ())
     }
 }
 
@@ -491,7 +431,7 @@ fn expect_empty(body: &[u8]) -> Result<()> {
 
 impl Store for RemoteClient {
     fn put(&self, table: &str, row: &[u8], columns: &[ColumnValue]) -> Result<u64> {
-        let body = self.request_routed_write(table, row, OpCode::Put, |epoch| {
+        let body = self.request_routed(table, row, OpCode::Put, |epoch| {
             let mut w = BodyWriter::new();
             w.str(table).bytes(row).columns(columns).u64(epoch);
             w.finish()
@@ -510,7 +450,7 @@ impl Store for RemoteClient {
         let mut stamps = vec![0u64; rows.len()];
         let mut pending: Vec<usize> = (0..rows.len()).collect();
         let mut last = None;
-        for attempt in 0..self.inner.opts.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
                 self.backoff(attempt - 1);
             }
@@ -537,12 +477,7 @@ impl Store for RemoteClient {
                 let outcome = self
                     .addr_of(owner)
                     .and_then(|addr| {
-                        self.exchange(
-                            &addr,
-                            OpCode::PutBatch,
-                            &w.finish(),
-                            self.inner.opts.request_timeout,
-                        )
+                        self.exchange(&addr, OpCode::PutBatch, &w.finish(), REQUEST_TIMEOUT)
                     })
                     .and_then(|body| {
                         let mut r = BodyReader::new(&body);
@@ -567,14 +502,7 @@ impl Store for RemoteClient {
                         }
                     }
                     Err(e) if e.is_retryable() => {
-                        if matches!(
-                            e,
-                            ClusterError::NotServing { .. }
-                                | ClusterError::ServerDown(_)
-                                | ClusterError::StaleEpoch { .. }
-                        ) {
-                            self.invalidate(table);
-                        }
+                        self.invalidate_if_stale(table, &e);
                         last = Some(e);
                         still_pending.extend(idxs.iter().map(|&(i, _)| i));
                     }
@@ -590,7 +518,7 @@ impl Store for RemoteClient {
     }
 
     fn put_returning(&self, table: &str, row: &[u8], columns: &[ColumnValue]) -> Result<PutOutcome> {
-        let body = self.request_routed_write(table, row, OpCode::PutReturning, |epoch| {
+        let body = self.request_routed(table, row, OpCode::PutReturning, |epoch| {
             let mut w = BodyWriter::new();
             w.str(table).bytes(row).columns(columns).u64(epoch);
             w.finish()
@@ -599,7 +527,7 @@ impl Store for RemoteClient {
     }
 
     fn delete(&self, table: &str, row: &[u8], columns: &[Bytes]) -> Result<u64> {
-        let body = self.request_routed_write(table, row, OpCode::Delete, |epoch| {
+        let body = self.request_routed(table, row, OpCode::Delete, |epoch| {
             let mut w = BodyWriter::new();
             w.str(table).bytes(row).names(columns).u64(epoch);
             w.finish()
@@ -608,7 +536,7 @@ impl Store for RemoteClient {
     }
 
     fn raw_put(&self, table: &str, row: &[u8], columns: &[ColumnValue], ts: u64) -> Result<()> {
-        let body = self.request_routed_write(table, row, OpCode::RawPut, |epoch| {
+        let body = self.request_routed(table, row, OpCode::RawPut, |epoch| {
             let mut w = BodyWriter::new();
             w.str(table).bytes(row).columns(columns).u64(ts).u64(epoch);
             w.finish()
@@ -617,7 +545,7 @@ impl Store for RemoteClient {
     }
 
     fn raw_delete(&self, table: &str, row: &[u8], columns: &[Bytes], ts: u64) -> Result<()> {
-        let body = self.request_routed_write(table, row, OpCode::RawDelete, |epoch| {
+        let body = self.request_routed(table, row, OpCode::RawDelete, |epoch| {
             let mut w = BodyWriter::new();
             w.str(table).bytes(row).names(columns).u64(ts).u64(epoch);
             w.finish()
@@ -628,7 +556,8 @@ impl Store for RemoteClient {
     fn get(&self, table: &str, row: &[u8], column: &[u8], ts: u64) -> Result<Option<VersionedValue>> {
         let mut w = BodyWriter::new();
         w.str(table).bytes(row).bytes(column).u64(ts);
-        let body = self.request_routed(table, row, OpCode::Get, &w.finish())?;
+        let req = w.finish();
+        let body = self.request_routed(table, row, OpCode::Get, |_| req.clone())?;
         let mut r = BodyReader::new(&body);
         let out = match r.u8()? {
             0 => None,
@@ -648,7 +577,8 @@ impl Store for RemoteClient {
     ) -> Result<Option<(u64, bool)>> {
         let mut w = BodyWriter::new();
         w.str(table).bytes(row).bytes(column).u64(ts);
-        let body = self.request_routed(table, row, OpCode::GetCellVersioned, &w.finish())?;
+        let req = w.finish();
+        let body = self.request_routed(table, row, OpCode::GetCellVersioned, |_| req.clone())?;
         let mut r = BodyReader::new(&body);
         let out = match r.u8()? {
             0 => None,
@@ -666,7 +596,8 @@ impl Store for RemoteClient {
     fn get_row(&self, table: &str, row: &[u8], ts: u64) -> Result<Vec<(Bytes, VersionedValue)>> {
         let mut w = BodyWriter::new();
         w.str(table).bytes(row).u64(ts);
-        let body = self.request_routed(table, row, OpCode::GetRow, &w.finish())?;
+        let req = w.finish();
+        let body = self.request_routed(table, row, OpCode::GetRow, |_| req.clone())?;
         let mut r = BodyReader::new(&body);
         let n = r.count()?;
         let mut cols = Vec::with_capacity(n);
@@ -746,7 +677,7 @@ impl Store for RemoteClient {
         expect_empty(&self.request_any_with_timeout(
             OpCode::CreateIndex,
             &w.finish(),
-            self.inner.opts.admin_timeout,
+            ADMIN_TIMEOUT,
         )?)
     }
 
@@ -756,7 +687,7 @@ impl Store for RemoteClient {
         expect_empty(&self.request_any_with_timeout(
             OpCode::DropIndex,
             &w.finish(),
-            self.inner.opts.admin_timeout,
+            ADMIN_TIMEOUT,
         )?)
     }
 
@@ -766,7 +697,7 @@ impl Store for RemoteClient {
         expect_empty(&self.request_any_with_timeout(
             OpCode::Quiesce,
             &w.finish(),
-            self.inner.opts.admin_timeout,
+            ADMIN_TIMEOUT,
         )?)
     }
 }

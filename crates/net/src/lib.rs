@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod server;
 pub mod wire;
 
-pub use client::{RemoteClient, RemoteClientOptions};
+pub use client::RemoteClient;
 pub use metrics::{NetMetricsSnapshot, OpMetricsSnapshot};
 pub use server::{Roster, Server, ServerGroup};
 pub use wire::OpCode;

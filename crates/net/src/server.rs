@@ -36,7 +36,7 @@ use crate::wire::{
     self, BodyReader, BodyWriter, OpCode, STATUS_ERR, STATUS_OK,
 };
 use bytes::Bytes;
-use diff_index_cluster::{Cluster, ClusterError, Result, ServerId};
+use diff_index_cluster::{Cluster, ClusterError, FaultPoint, Result, ServerId};
 use diff_index_core::{DiffIndex, IndexError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -77,19 +77,14 @@ impl Roster {
 
 struct Inner {
     di: DiffIndex,
-    /// The cluster server id this listener fronts; `None` serves every
-    /// region (single-listener gateway mode, no ownership policing).
-    served_id: Option<ServerId>,
+    /// The cluster server id this listener fronts.
+    served_id: ServerId,
     roster: Roster,
     addr: SocketAddr,
     shutdown: AtomicBool,
     /// Requests dispatched but not yet responded to.
     inflight: AtomicUsize,
     metrics: NetMetrics,
-    /// Fault injection: when set, the next completed request's response is
-    /// discarded and its connection destroyed — the request *was* applied,
-    /// the client just never learns. Exercises ambiguous-ack retries.
-    drop_next_response: AtomicBool,
     conns: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Clones of every *live* connection's socket, keyed by connection id,
     /// so fault injection can sever them from outside the reader threads.
@@ -116,18 +111,18 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Bind a listener on `addr` (use `127.0.0.1:0` for an ephemeral port)
-    /// fronting `di`'s cluster, and register it in `roster`. `served_id`
-    /// scopes ownership policing; `None` makes this a serve-anything
-    /// gateway.
+    /// fronting `di`'s cluster as region server `served_id`, and register
+    /// it in `roster`. Row-addressed requests for regions `served_id` does
+    /// not host are rejected.
     pub fn start(
         di: DiffIndex,
         addr: &str,
-        served_id: Option<ServerId>,
+        served_id: ServerId,
         roster: Roster,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        roster.insert(served_id.unwrap_or(0), local.to_string());
+        roster.insert(served_id, local.to_string());
         let inner = Arc::new(Inner {
             di,
             served_id,
@@ -136,14 +131,13 @@ impl Server {
             shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             metrics: NetMetrics::default(),
-            drop_next_response: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
             socks: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
         });
         let accept_inner = Arc::clone(&inner);
         let accept = std::thread::Builder::new()
-            .name(format!("net-accept-{}", served_id.unwrap_or(0)))
+            .name(format!("net-accept-{served_id}"))
             .spawn(move || accept_loop(&accept_inner, listener))?;
         Ok(Server { inner, accept: Mutex::new(Some(accept)) })
     }
@@ -156,20 +150,6 @@ impl Server {
     /// Per-opcode request/byte/latency metrics.
     pub fn metrics(&self) -> NetMetricsSnapshot {
         self.inner.metrics.snapshot()
-    }
-
-    /// Fault injection: make the next completed request drop its response
-    /// and kill its connection (the request itself still executes). See
-    /// [`Inner::drop_next_response`]'s semantics in the module docs.
-    pub fn drop_next_response(&self) {
-        self.inner.drop_next_response.store(true, Ordering::SeqCst);
-    }
-
-    /// Disarm a pending [`Server::drop_next_response`] that never fired, so
-    /// a leftover trigger cannot swallow the response of a later,
-    /// unrelated request (e.g. a verification read).
-    pub fn clear_drop_next_response(&self) {
-        self.inner.drop_next_response.store(false, Ordering::SeqCst);
     }
 
     /// Fault injection: abruptly sever every currently open client
@@ -234,7 +214,7 @@ impl ServerGroup {
         let roster = Roster::new();
         let mut servers = Vec::new();
         for sid in di.cluster().servers() {
-            servers.push(Server::start(di.clone(), "127.0.0.1:0", Some(sid), roster.clone())?);
+            servers.push(Server::start(di.clone(), "127.0.0.1:0", sid, roster.clone())?);
         }
         Ok(ServerGroup { servers, roster })
     }
@@ -404,9 +384,11 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
                 Err(e) => (STATUS_ERR, wire::encode_error(e)),
             };
             let resp = wire::encode_frame(status, frame.request_id, &body);
-            if job_inner.drop_next_response.swap(false, Ordering::SeqCst) {
+            let faults = job_inner.di.cluster().faults();
+            if faults.take(FaultPoint::DropResponse(job_inner.served_id)) {
                 // Fault injection: the request executed, but the client
-                // never hears back — its retry must be harmless.
+                // never hears back and its connection dies — its retry
+                // must be harmless.
                 let w = job_writer.lock();
                 let _ = w.shutdown(Shutdown::Both);
             } else {
@@ -437,11 +419,9 @@ impl Drop for InflightGuard<'_> {
 
 /// Reject row-addressed requests for regions this listener does not host.
 fn check_owner(inner: &Inner, cluster: &Cluster, table: &str, row: &[u8]) -> Result<()> {
-    if let Some(me) = inner.served_id {
-        let owner = cluster.server_for_row(table, row)?;
-        if owner != me {
-            return Err(ClusterError::NotServing { owner });
-        }
+    let owner = cluster.server_for_row(table, row)?;
+    if owner != inner.served_id {
+        return Err(ClusterError::NotServing { owner });
     }
     Ok(())
 }
@@ -481,10 +461,8 @@ fn handle(inner: &Inner, op: OpCode, body: &[u8]) -> Result<Bytes> {
             // fail its liveness probe: the TCP socket outliving the crash is
             // exactly the zombie scenario, and answering "healthy" here
             // would blind the master's failure detector.
-            if let Some(me) = inner.served_id {
-                if !cluster.is_alive(me) {
-                    return Err(ClusterError::ServerDown(me));
-                }
+            if !cluster.is_alive(inner.served_id) {
+                return Err(ClusterError::ServerDown(inner.served_id));
             }
         }
         OpCode::Roster => {

@@ -3,7 +3,7 @@
 //! responses, and drain-before-stop shutdown.
 
 use bytes::Bytes;
-use diff_index_cluster::{Cluster, ClusterOptions};
+use diff_index_cluster::{Cluster, ClusterOptions, FaultPoint};
 use diff_index_core::{DiffIndex, IndexScheme, IndexSpec, Store};
 use diff_index_net::wire::{self, BodyWriter, OpCode, STATUS_OK};
 use diff_index_net::{RemoteClient, ServerGroup};
@@ -46,8 +46,8 @@ fn retry_after_killed_connection_is_idempotent() {
 
     // Arm the fault on every server: the next completed request per server
     // executes, then its connection is destroyed instead of responding.
-    for s in group.servers() {
-        s.drop_next_response();
+    for sid in 0..3 {
+        cluster.faults().arm(FaultPoint::DropResponse(sid), 1);
     }
     let update: Vec<(Bytes, Vec<(Bytes, Bytes)>)> = (0..12)
         .map(|i| (Bytes::from(format!("row{i:02}")), title_cols(&format!("second{i}"))))
