@@ -43,6 +43,18 @@ impl From<ClusterError> for IndexError {
     }
 }
 
+/// An index failure surfaced through a cluster-level interface (observer
+/// hooks, network error responses): cluster errors pass through unchanged,
+/// index-layer ones become [`ClusterError::Unavailable`].
+impl From<IndexError> for ClusterError {
+    fn from(e: IndexError) -> Self {
+        match e {
+            IndexError::Cluster(c) => c,
+            other => ClusterError::Unavailable(other.to_string()),
+        }
+    }
+}
+
 /// Result alias for Diff-Index operations.
 pub type Result<T> = std::result::Result<T, IndexError>;
 

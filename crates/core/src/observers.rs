@@ -298,7 +298,7 @@ impl TableObserver for SyncFullObserver {
             return Ok(());
         }
         sync_update(cluster, &self.spec, &self.auq, row, columns, ts, true)
-            .map_err(into_cluster_err)
+            .map_err(Into::into)
     }
 
     fn post_delete(
@@ -312,7 +312,7 @@ impl TableObserver for SyncFullObserver {
         if !self.spec.touches(columns) {
             return Ok(());
         }
-        sync_delete(cluster, &self.spec, &self.auq, row, ts).map_err(into_cluster_err)
+        sync_delete(cluster, &self.spec, &self.auq, row, ts).map_err(Into::into)
     }
 
     replay_and_flush_impl!();
@@ -333,7 +333,7 @@ impl TableObserver for SyncInsertObserver {
         // SU1–SU2 only: the old entry is left stale, to be repaired by the
         // read path (Algorithm 2).
         sync_update(cluster, &self.spec, &self.auq, row, columns, ts, false)
-            .map_err(into_cluster_err)
+            .map_err(Into::into)
     }
 
     fn post_delete(
@@ -395,13 +395,6 @@ impl TableObserver for AsyncObserver {
     }
 
     replay_and_flush_impl!();
-}
-
-fn into_cluster_err(e: crate::error::IndexError) -> diff_index_cluster::ClusterError {
-    match e {
-        crate::error::IndexError::Cluster(c) => c,
-        other => diff_index_cluster::ClusterError::Unavailable(other.to_string()),
-    }
 }
 
 impl Drop for SyncFullObserver {

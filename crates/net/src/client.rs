@@ -34,15 +34,14 @@
 //!
 //! Semantic rejections (`NoSuchTable`, `Protocol`, …) are never retried.
 
-use crate::wire::{
-    self, BodyReader, BodyWriter, OpCode, STATUS_ERR, STATUS_OK,
-};
+use crate::wire::{self, BatchRow, Class, Request, Response, STATUS_ERR, STATUS_OK};
 use bytes::Bytes;
 use diff_index_cluster::encoding::row_start;
 use diff_index_cluster::{ClusterError, ColumnValue, PutOutcome, Result, RowGroup, ServerId};
 use diff_index_core::{IndexSpec, Store};
 use diff_index_lsm::VersionedValue;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::io::{ErrorKind, Read, Write};
@@ -71,6 +70,16 @@ const POOL_PER_ADDR: usize = 4;
 /// servers fence stamps from before a failover with
 /// [`ClusterError::StaleEpoch`].
 type TableMap = Arc<Vec<(Bytes, ServerId, u64)>>;
+
+/// Send a request and unwrap the response shape its opcode decodes to.
+macro_rules! call {
+    ($client:expr, $req:expr, $shape:pat => $out:expr) => {
+        match $client.call($req)? {
+            $shape => Ok($out),
+            other => Err(unexpected(other)),
+        }
+    };
+}
 
 struct ClientInner {
     bootstrap: Vec<String>,
@@ -139,15 +148,17 @@ impl RemoteClient {
         }
     }
 
-    /// One request/response exchange on one connection, no retries. Any
-    /// failure discards the connection (its stream state is unknown).
-    fn exchange(&self, addr: &str, op: OpCode, body: &[u8], timeout: Duration) -> Result<Bytes> {
+    /// One request/response exchange on one connection, no retries, under
+    /// the deadline of the request's class. Any failure discards the
+    /// connection (its stream state is unknown).
+    fn exchange(&self, addr: &str, req: &Request<'_>) -> Result<Response> {
+        let timeout = if req.class() == Class::Admin { ADMIN_TIMEOUT } else { REQUEST_TIMEOUT };
         let mut conn = self.checkout(addr)?;
         conn.set_read_timeout(Some(timeout))
             .map_err(|e| ClusterError::Io(format!("set timeout: {e}")))?;
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = wire::encode_frame(op as u8, id, body);
-        conn.write_all(&frame).map_err(|e| ClusterError::Io(format!("send {addr}: {e}")))?;
+        conn.write_all(&req.encode(id))
+            .map_err(|e| ClusterError::Io(format!("send {addr}: {e}")))?;
 
         let mut len_buf = [0u8; 4];
         read_full(&mut conn, &mut len_buf, addr)?;
@@ -171,7 +182,7 @@ impl RemoteClient {
         if !matches!(out, Err(ClusterError::Protocol(_))) {
             self.checkin(addr, conn);
         }
-        out
+        Response::decode(req.op(), &out?)
     }
 
     // -- routing state -------------------------------------------------------
@@ -190,20 +201,12 @@ impl RemoteClient {
     fn refresh_roster(&self) -> Result<()> {
         let mut last = ClusterError::Io("no servers reachable".into());
         for addr in self.candidate_addrs() {
-            match self.exchange(&addr, OpCode::Roster, &[], REQUEST_TIMEOUT) {
-                Ok(body) => {
-                    let mut r = BodyReader::new(&body);
-                    let n = r.count()?;
-                    let mut roster = BTreeMap::new();
-                    for _ in 0..n {
-                        let id = r.u32()?;
-                        let a = r.str()?;
-                        roster.insert(id, a);
-                    }
-                    r.expect_end()?;
-                    *self.inner.roster.lock() = roster;
+            match self.exchange(&addr, &Request::Roster) {
+                Ok(Response::Roster(entries)) => {
+                    *self.inner.roster.lock() = entries.into_iter().collect();
                     return Ok(());
                 }
+                Ok(other) => last = unexpected(other),
                 Err(e) => last = e,
             }
         }
@@ -211,20 +214,11 @@ impl RemoteClient {
     }
 
     fn fetch_map(&self, table: &str) -> Result<TableMap> {
-        let mut w = BodyWriter::new();
-        w.str(table);
-        let body = self.request_any(OpCode::PartitionMap, &w.finish())?;
-        let mut r = BodyReader::new(&body);
-        let n = r.count()?;
-        let mut map = Vec::with_capacity(n);
-        for _ in 0..n {
-            let start = r.bytes()?;
-            let _region = r.u32()?;
-            let server = r.u32()?;
-            let epoch = r.u64()?;
-            map.push((start, server, epoch));
-        }
-        r.expect_end()?;
+        let snapshot = call!(self, Request::PartitionMap(table), Response::PartitionMap(m) => m)?;
+        let map: Vec<_> = snapshot
+            .into_iter()
+            .map(|(start, _region, server, epoch)| (start, server, epoch))
+            .collect();
         if map.is_empty() {
             return Err(ClusterError::Protocol(format!("empty partition map for {table}")));
         }
@@ -300,20 +294,22 @@ impl RemoteClient {
 
     // -- retry wrappers ------------------------------------------------------
 
-    /// Row-addressed request: route by cached map, retry with invalidation
-    /// on routing staleness and with plain re-send on ambiguous transport
-    /// failures (see module docs for why that is safe). The body is rebuilt
-    /// per attempt from the current epoch of the row's region, so a write
-    /// retried after `StaleEpoch`/`ServerDown` invalidation is re-stamped
-    /// from the refreshed map: client-transparent failover. Reads ignore
-    /// the epoch.
-    fn request_routed(
-        &self,
-        table: &str,
-        row: &[u8],
-        op: OpCode,
-        build: impl Fn(u64) -> Bytes,
-    ) -> Result<Bytes> {
+    /// Send `req` where its class says. A row-addressed request is routed
+    /// by the cached map, retried with invalidation on routing staleness
+    /// and with plain re-send on ambiguous transport failures (see module
+    /// docs for why that is safe). A write is re-stamped per attempt with
+    /// the current epoch of the row's region, so a write retried after
+    /// `StaleEpoch`/`ServerDown` invalidation carries the refreshed map's
+    /// epoch: client-transparent failover. Gateway and admin requests go to
+    /// any server.
+    fn call(&self, mut req: Request<'_>) -> Result<Response> {
+        let (table, row) = match req.class() {
+            // `put_batch` routes its own per-owner groups; any other write
+            // names exactly one row.
+            Class::Write(table, rows) => (table, rows.first().expect("a single-row write").0),
+            Class::Read(table, row) => (table, row),
+            Class::Gateway | Class::Admin => return self.call_any(&req),
+        };
         let mut last = None;
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
@@ -322,8 +318,11 @@ impl RemoteClient {
             let target = self
                 .route_of(table, row)
                 .and_then(|(owner, epoch)| Ok((self.addr_of(owner)?, epoch)));
-            let (addr, epoch) = match target {
-                Ok(t) => t,
+            let addr = match target {
+                Ok((addr, epoch)) => {
+                    req.stamp(epoch);
+                    addr
+                }
                 Err(e) if e.is_retryable() => {
                     self.invalidate(table);
                     last = Some(e);
@@ -331,8 +330,8 @@ impl RemoteClient {
                 }
                 Err(e) => return Err(e),
             };
-            match self.exchange(&addr, op, &build(epoch), REQUEST_TIMEOUT) {
-                Ok(b) => return Ok(b),
+            match self.exchange(&addr, &req) {
+                Ok(r) => return Ok(r),
                 Err(e) if e.is_retryable() => {
                     self.invalidate_if_stale(table, &e);
                     last = Some(e);
@@ -343,14 +342,9 @@ impl RemoteClient {
         Err(last.unwrap_or_else(|| ClusterError::Io("request retries exhausted".into())))
     }
 
-    /// Location-independent request (scans, table/index admin, metadata):
-    /// any server acts as gateway; rotate through servers on failure.
-    fn request_any_with_timeout(
-        &self,
-        op: OpCode,
-        body: &[u8],
-        timeout: Duration,
-    ) -> Result<Bytes> {
+    /// Location-independent request: any server acts as gateway; rotate
+    /// through servers on failure.
+    fn call_any(&self, req: &Request<'_>) -> Result<Response> {
         let mut last = None;
         for attempt in 0..MAX_ATTEMPTS {
             if attempt > 0 {
@@ -361,8 +355,8 @@ impl RemoteClient {
                 return Err(ClusterError::Io("no known servers".into()));
             }
             let addr = &addrs[attempt as usize % addrs.len()];
-            match self.exchange(addr, op, body, timeout) {
-                Ok(b) => return Ok(b),
+            match self.exchange(addr, req) {
+                Ok(r) => return Ok(r),
                 Err(e) if e.is_retryable() => last = Some(e),
                 Err(e) => return Err(e),
             }
@@ -370,13 +364,9 @@ impl RemoteClient {
         Err(last.unwrap_or_else(|| ClusterError::Io("request retries exhausted".into())))
     }
 
-    fn request_any(&self, op: OpCode, body: &[u8]) -> Result<Bytes> {
-        self.request_any_with_timeout(op, body, REQUEST_TIMEOUT)
-    }
-
     /// Liveness probe against any server.
     pub fn ping(&self) -> Result<()> {
-        self.request_any(OpCode::Ping, &[]).map(|_| ())
+        call!(self, Request::Ping, Response::Unit => ())
     }
 
     /// Liveness probe against one specific server — the prober a
@@ -385,7 +375,7 @@ impl RemoteClient {
     /// not mask it.
     pub fn ping_server(&self, server: ServerId) -> Result<()> {
         let addr = self.addr_of(server)?;
-        self.exchange(&addr, OpCode::Ping, &[], REQUEST_TIMEOUT).map(|_| ())
+        self.exchange(&addr, &Request::Ping).map(|_| ())
     }
 }
 
@@ -407,36 +397,14 @@ fn read_full(conn: &mut TcpStream, buf: &mut [u8], addr: &str) -> Result<()> {
     Ok(())
 }
 
-fn decode_scan(body: &[u8]) -> Result<Vec<RowGroup>> {
-    let mut r = BodyReader::new(body);
-    let n = r.count()?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(r.row_group()?);
-    }
-    r.expect_end()?;
-    Ok(rows)
-}
-
-fn decode_u64(body: &[u8]) -> Result<u64> {
-    let mut r = BodyReader::new(body);
-    let v = r.u64()?;
-    r.expect_end()?;
-    Ok(v)
-}
-
-fn expect_empty(body: &[u8]) -> Result<()> {
-    BodyReader::new(body).expect_end()
+/// A response that does not answer its request (wrong shape or row count).
+fn unexpected(r: Response) -> ClusterError {
+    ClusterError::Protocol(format!("unexpected response {r:?}"))
 }
 
 impl Store for RemoteClient {
     fn put(&self, table: &str, row: &[u8], columns: &[ColumnValue]) -> Result<u64> {
-        let body = self.request_routed(table, row, OpCode::Put, |epoch| {
-            let mut w = BodyWriter::new();
-            w.str(table).bytes(row).columns(columns).u64(epoch);
-            w.finish()
-        })?;
-        decode_u64(&body)
+        call!(self, Request::Put(table, row, columns.into(), 0), Response::Ts(ts) => ts)
     }
 
     fn put_batch(&self, table: &str, rows: &[(Bytes, Vec<ColumnValue>)]) -> Result<Vec<u64>> {
@@ -454,11 +422,15 @@ impl Store for RemoteClient {
             if attempt > 0 {
                 self.backoff(attempt - 1);
             }
-            let mut groups: HashMap<ServerId, Vec<(usize, u64)>> = HashMap::new();
+            let mut groups: HashMap<ServerId, (Vec<usize>, Vec<BatchRow<'_>>)> = HashMap::new();
             let mut routing_failed = Vec::new();
             for &i in &pending {
                 match self.route_of(table, &rows[i].0) {
-                    Ok((owner, epoch)) => groups.entry(owner).or_default().push((i, epoch)),
+                    Ok((owner, epoch)) => {
+                        let (idxs, batch) = groups.entry(owner).or_default();
+                        idxs.push(i);
+                        batch.push((&rows[i].0, Cow::Borrowed(&rows[i].1), epoch));
+                    }
                     Err(e) if e.is_retryable() => {
                         self.invalidate(table);
                         last = Some(e);
@@ -468,43 +440,25 @@ impl Store for RemoteClient {
                 }
             }
             let mut still_pending = routing_failed;
-            for (owner, idxs) in groups {
-                let mut w = BodyWriter::new();
-                w.str(table).u32(idxs.len() as u32);
-                for &(i, epoch) in &idxs {
-                    w.bytes(&rows[i].0).columns(&rows[i].1).u64(epoch);
-                }
+            for (owner, (idxs, batch)) in groups {
+                let req = Request::PutBatch(table, batch);
                 let outcome = self
                     .addr_of(owner)
-                    .and_then(|addr| {
-                        self.exchange(&addr, OpCode::PutBatch, &w.finish(), REQUEST_TIMEOUT)
-                    })
-                    .and_then(|body| {
-                        let mut r = BodyReader::new(&body);
-                        let n = r.count()?;
-                        if n != idxs.len() {
-                            return Err(ClusterError::Protocol(format!(
-                                "batch returned {n} stamps for {} rows",
-                                idxs.len()
-                            )));
-                        }
-                        let mut ts = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            ts.push(r.u64()?);
-                        }
-                        r.expect_end()?;
-                        Ok(ts)
+                    .and_then(|addr| self.exchange(&addr, &req))
+                    .and_then(|resp| match resp {
+                        Response::Stamps(ts) if ts.len() == idxs.len() => Ok(ts),
+                        other => Err(unexpected(other)),
                     });
                 match outcome {
                     Ok(ts) => {
-                        for (&(i, _), t) in idxs.iter().zip(ts) {
+                        for (&i, t) in idxs.iter().zip(ts) {
                             stamps[i] = t;
                         }
                     }
                     Err(e) if e.is_retryable() => {
                         self.invalidate_if_stale(table, &e);
                         last = Some(e);
-                        still_pending.extend(idxs.iter().map(|&(i, _)| i));
+                        still_pending.extend(idxs);
                     }
                     Err(e) => return Err(e),
                 }
@@ -518,54 +472,23 @@ impl Store for RemoteClient {
     }
 
     fn put_returning(&self, table: &str, row: &[u8], columns: &[ColumnValue]) -> Result<PutOutcome> {
-        let body = self.request_routed(table, row, OpCode::PutReturning, |epoch| {
-            let mut w = BodyWriter::new();
-            w.str(table).bytes(row).columns(columns).u64(epoch);
-            w.finish()
-        })?;
-        wire::decode_put_outcome(&body)
+        call!(self, Request::PutReturning(table, row, columns.into(), 0), Response::Outcome(o) => o)
     }
 
     fn delete(&self, table: &str, row: &[u8], columns: &[Bytes]) -> Result<u64> {
-        let body = self.request_routed(table, row, OpCode::Delete, |epoch| {
-            let mut w = BodyWriter::new();
-            w.str(table).bytes(row).names(columns).u64(epoch);
-            w.finish()
-        })?;
-        decode_u64(&body)
+        call!(self, Request::Delete(table, row, columns.into(), 0), Response::Ts(ts) => ts)
     }
 
     fn raw_put(&self, table: &str, row: &[u8], columns: &[ColumnValue], ts: u64) -> Result<()> {
-        let body = self.request_routed(table, row, OpCode::RawPut, |epoch| {
-            let mut w = BodyWriter::new();
-            w.str(table).bytes(row).columns(columns).u64(ts).u64(epoch);
-            w.finish()
-        })?;
-        expect_empty(&body)
+        call!(self, Request::RawPut(table, row, columns.into(), ts, 0), Response::Unit => ())
     }
 
     fn raw_delete(&self, table: &str, row: &[u8], columns: &[Bytes], ts: u64) -> Result<()> {
-        let body = self.request_routed(table, row, OpCode::RawDelete, |epoch| {
-            let mut w = BodyWriter::new();
-            w.str(table).bytes(row).names(columns).u64(ts).u64(epoch);
-            w.finish()
-        })?;
-        expect_empty(&body)
+        call!(self, Request::RawDelete(table, row, columns.into(), ts, 0), Response::Unit => ())
     }
 
     fn get(&self, table: &str, row: &[u8], column: &[u8], ts: u64) -> Result<Option<VersionedValue>> {
-        let mut w = BodyWriter::new();
-        w.str(table).bytes(row).bytes(column).u64(ts);
-        let req = w.finish();
-        let body = self.request_routed(table, row, OpCode::Get, |_| req.clone())?;
-        let mut r = BodyReader::new(&body);
-        let out = match r.u8()? {
-            0 => None,
-            1 => Some(r.versioned()?),
-            t => return Err(ClusterError::Protocol(format!("bad option tag {t}"))),
-        };
-        r.expect_end()?;
-        Ok(out)
+        call!(self, Request::Get(table, row, column, ts), Response::Value(v) => v)
     }
 
     fn get_cell_versioned(
@@ -575,39 +498,11 @@ impl Store for RemoteClient {
         column: &[u8],
         ts: u64,
     ) -> Result<Option<(u64, bool)>> {
-        let mut w = BodyWriter::new();
-        w.str(table).bytes(row).bytes(column).u64(ts);
-        let req = w.finish();
-        let body = self.request_routed(table, row, OpCode::GetCellVersioned, |_| req.clone())?;
-        let mut r = BodyReader::new(&body);
-        let out = match r.u8()? {
-            0 => None,
-            1 => {
-                let cts = r.u64()?;
-                let tomb = r.u8()? != 0;
-                Some((cts, tomb))
-            }
-            t => return Err(ClusterError::Protocol(format!("bad option tag {t}"))),
-        };
-        r.expect_end()?;
-        Ok(out)
+        call!(self, Request::GetCellVersioned(table, row, column, ts), Response::Cell(c) => c)
     }
 
     fn get_row(&self, table: &str, row: &[u8], ts: u64) -> Result<Vec<(Bytes, VersionedValue)>> {
-        let mut w = BodyWriter::new();
-        w.str(table).bytes(row).u64(ts);
-        let req = w.finish();
-        let body = self.request_routed(table, row, OpCode::GetRow, |_| req.clone())?;
-        let mut r = BodyReader::new(&body);
-        let n = r.count()?;
-        let mut cols = Vec::with_capacity(n);
-        for _ in 0..n {
-            let c = r.bytes()?;
-            let v = r.versioned()?;
-            cols.push((c, v));
-        }
-        r.expect_end()?;
-        Ok(cols)
+        call!(self, Request::GetRow(table, row, ts), Response::Row(cols) => cols)
     }
 
     fn scan_rows(
@@ -618,9 +513,8 @@ impl Store for RemoteClient {
         ts: u64,
         limit: usize,
     ) -> Result<Vec<RowGroup>> {
-        let mut w = BodyWriter::new();
-        w.str(table).bytes(start_row).opt_bytes(end_row).u64(ts).u64(limit as u64);
-        decode_scan(&self.request_any(OpCode::ScanRows, &w.finish())?)
+        let req = Request::ScanRows(table, start_row, end_row, ts, limit);
+        call!(self, req, Response::Rows(rows) => rows)
     }
 
     fn scan_rows_prefix(
@@ -630,9 +524,8 @@ impl Store for RemoteClient {
         ts: u64,
         limit: usize,
     ) -> Result<Vec<RowGroup>> {
-        let mut w = BodyWriter::new();
-        w.str(table).bytes(row_prefix).u64(ts).u64(limit as u64);
-        decode_scan(&self.request_any(OpCode::ScanRowsPrefix, &w.finish())?)
+        let req = Request::ScanRowsPrefix(table, row_prefix, ts, limit);
+        call!(self, req, Response::Rows(rows) => rows)
     }
 
     fn scan_rows_range(
@@ -643,61 +536,31 @@ impl Store for RemoteClient {
         ts: u64,
         limit: usize,
     ) -> Result<Vec<RowGroup>> {
-        let mut w = BodyWriter::new();
-        w.str(table).bytes(start_row).opt_bytes(end_row).u64(ts).u64(limit as u64);
-        decode_scan(&self.request_any(OpCode::ScanRowsRange, &w.finish())?)
+        let req = Request::ScanRowsRange(table, start_row, end_row, ts, limit);
+        call!(self, req, Response::Rows(rows) => rows)
     }
 
     fn create_table(&self, name: &str, num_regions: usize) -> Result<()> {
-        let mut w = BodyWriter::new();
-        w.str(name).u32(num_regions as u32);
-        expect_empty(&self.request_any(OpCode::CreateTable, &w.finish())?)
+        call!(self, Request::CreateTable(name, num_regions), Response::Unit => ())
     }
 
     fn has_table(&self, table: &str) -> Result<bool> {
-        let mut w = BodyWriter::new();
-        w.str(table);
-        let body = self.request_any(OpCode::HasTable, &w.finish())?;
-        let mut r = BodyReader::new(&body);
-        let v = r.u8()? != 0;
-        r.expect_end()?;
-        Ok(v)
+        call!(self, Request::HasTable(table), Response::Bool(b) => b)
     }
 
     fn flush_table(&self, table: &str) -> Result<()> {
-        let mut w = BodyWriter::new();
-        w.str(table);
-        expect_empty(&self.request_any(OpCode::FlushTable, &w.finish())?)
+        call!(self, Request::FlushTable(table), Response::Unit => ())
     }
 
     fn admin_create_index(&self, spec: &IndexSpec, num_regions: usize) -> Result<()> {
-        let mut w = BodyWriter::new();
-        wire::encode_index_spec(&mut w, spec);
-        w.u32(num_regions as u32);
-        expect_empty(&self.request_any_with_timeout(
-            OpCode::CreateIndex,
-            &w.finish(),
-            ADMIN_TIMEOUT,
-        )?)
+        call!(self, Request::CreateIndex(Cow::Borrowed(spec), num_regions), Response::Unit => ())
     }
 
     fn admin_drop_index(&self, base_table: &str, name: &str) -> Result<()> {
-        let mut w = BodyWriter::new();
-        w.str(base_table).str(name);
-        expect_empty(&self.request_any_with_timeout(
-            OpCode::DropIndex,
-            &w.finish(),
-            ADMIN_TIMEOUT,
-        )?)
+        call!(self, Request::DropIndex(base_table, name), Response::Unit => ())
     }
 
     fn admin_quiesce(&self, base_table: &str) -> Result<()> {
-        let mut w = BodyWriter::new();
-        w.str(base_table);
-        expect_empty(&self.request_any_with_timeout(
-            OpCode::Quiesce,
-            &w.finish(),
-            ADMIN_TIMEOUT,
-        )?)
+        call!(self, Request::Quiesce(base_table), Response::Unit => ())
     }
 }

@@ -22,7 +22,15 @@ impl Default for NetMetrics {
     }
 }
 
-const OP_SLOTS: usize = 0x43; // one past the highest opcode byte
+/// One slot per opcode byte, up to the highest defined opcode.
+const OP_SLOTS: usize = {
+    let (ops, mut i, mut slots) = (OpCode::all(), 0, 0);
+    while i < ops.len() {
+        slots = if ops[i] as usize >= slots { ops[i] as usize + 1 } else { slots };
+        i += 1;
+    }
+    slots
+};
 
 #[derive(Default)]
 struct OpSlot {

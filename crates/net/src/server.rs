@@ -1,6 +1,6 @@
 //! The region-server network frontend: one TCP listener per region server,
 //! serving the wire protocol of [`crate::wire`] against an in-process
-//! [`Cluster`].
+//! [`Cluster`](diff_index_cluster::Cluster).
 //!
 //! ## Topology
 //!
@@ -32,12 +32,10 @@
 //! observe an acknowledged write that the store subsequently forgot.
 
 use crate::metrics::{NetMetrics, NetMetricsSnapshot};
-use crate::wire::{
-    self, BodyReader, BodyWriter, OpCode, STATUS_ERR, STATUS_OK,
-};
+use crate::wire::{self, Class, OpCode, Request, Response, STATUS_ERR};
 use bytes::Bytes;
-use diff_index_cluster::{Cluster, ClusterError, FaultPoint, Result, ServerId};
-use diff_index_core::{DiffIndex, IndexError};
+use diff_index_cluster::{ClusterError, FaultPoint, Result, ServerId};
+use diff_index_core::DiffIndex;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
@@ -171,10 +169,7 @@ impl Server {
     /// return. Idempotent. Call this *before* tearing down AUQ workers or
     /// the cluster.
     pub fn shutdown(&self) {
-        if self.inner.shutdown.swap(true, Ordering::SeqCst) {
-            // Another caller already shut down (or is doing so); just wait
-            // for the drain below.
-        }
+        self.inner.shutdown.store(true, Ordering::SeqCst);
         // The accept loop blocks in accept(); poke it with a throwaway
         // connection so it observes the flag.
         let _ = TcpStream::connect(self.inner.addr);
@@ -234,7 +229,7 @@ impl ServerGroup {
         &self.servers
     }
 
-    /// Merged metrics across all listeners.
+    /// Metrics of every listener, one snapshot each, in `ServerId` order.
     pub fn metrics(&self) -> Vec<NetMetricsSnapshot> {
         self.servers.iter().map(|s| s.metrics()).collect()
     }
@@ -358,15 +353,13 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
             Err(e) => {
                 // Header unreadable: answer with request id 0 and give up on
                 // the stream (framing may be corrupt).
-                let resp = wire::encode_frame(STATUS_ERR, 0, &wire::encode_error(&e));
-                let _ = writer.lock().write_all(&resp);
+                let _ = writer.lock().write_all(&error_frame(0, &e));
                 return;
             }
         };
         let Some(op) = OpCode::from_u8(frame.tag) else {
             let e = ClusterError::Protocol(format!("unknown opcode 0x{:02x}", frame.tag));
-            let resp = wire::encode_frame(STATUS_ERR, frame.request_id, &wire::encode_error(&e));
-            let _ = writer.lock().write_all(&resp);
+            let _ = writer.lock().write_all(&error_frame(frame.request_id, &e));
             continue;
         };
         // Pipelined dispatch: hand the request to the cluster's fan-out
@@ -379,11 +372,10 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
             let guard = InflightGuard(&job_inner.inflight);
             let t0 = Instant::now();
             let result = handle(&job_inner, op, &frame.body);
-            let (status, body) = match &result {
-                Ok(b) => (STATUS_OK, b.clone()),
-                Err(e) => (STATUS_ERR, wire::encode_error(e)),
+            let resp = match &result {
+                Ok(r) => r.encode(frame.request_id),
+                Err(e) => error_frame(frame.request_id, e),
             };
-            let resp = wire::encode_frame(status, frame.request_id, &body);
             let faults = job_inner.di.cluster().faults();
             if faults.take(FaultPoint::DropResponse(job_inner.served_id)) {
                 // Fault injection: the request executed, but the client
@@ -400,7 +392,7 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
                 bytes_in,
                 resp.len() as u64,
                 t0.elapsed().as_micros() as u64,
-                status == STATUS_ERR,
+                result.is_err(),
             );
             drop(guard);
         });
@@ -417,46 +409,56 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// Reject row-addressed requests for regions this listener does not host.
-fn check_owner(inner: &Inner, cluster: &Cluster, table: &str, row: &[u8]) -> Result<()> {
-    let owner = cluster.server_for_row(table, row)?;
-    if owner != inner.served_id {
-        return Err(ClusterError::NotServing { owner });
-    }
-    Ok(())
+fn error_frame(request_id: u64, e: &ClusterError) -> Bytes {
+    wire::encode_frame(STATUS_ERR, request_id, &wire::encode_error(e))
 }
 
-/// Police a write's epoch stamp (after ownership). A stamp of `0` means
-/// "unstamped" — bootstrap writes and epoch-unaware callers skip fencing;
-/// region epochs start at 1, so 0 can never collide with a real epoch. Any
-/// other value must equal the region's current epoch or the write is fenced
-/// with [`ClusterError::StaleEpoch`] — the guard that makes a zombie's
-/// post-failover writes impossible to apply.
-fn check_epoch(cluster: &Cluster, table: &str, row: &[u8], stamped: u64) -> Result<()> {
-    if stamped == 0 {
-        return Ok(());
-    }
-    cluster.check_write_epoch(table, row, stamped)
-}
-
-fn index_err(e: IndexError) -> ClusterError {
-    match e {
-        IndexError::Cluster(c) => c,
-        other => ClusterError::Unavailable(other.to_string()),
-    }
-}
-
-/// Execute one decoded request against the cluster and encode its response
-/// body. Scans and table/index administration are *not* ownership-policed:
-/// any server acts as a gateway for multi-region operations, mirroring how
-/// the repo's in-process client fans scans out itself.
-fn handle(inner: &Inner, op: OpCode, body: &[u8]) -> Result<Bytes> {
+/// Police a request by its class before running it. Row-addressed requests
+/// for regions this listener does not host are rejected with `NotServing`.
+/// A write's epoch stamps must match its regions' current epochs, or it is
+/// fenced with [`ClusterError::StaleEpoch`] — the guard that makes a
+/// zombie's post-failover writes impossible to apply. A stamp of `0` means
+/// "unstamped": bootstrap writes and epoch-unaware callers skip fencing;
+/// region epochs start at 1, so 0 can never collide with a real epoch. A
+/// batch is checked whole (ownership, then epochs) before any of it
+/// applies, so a misrouted or fenced batch is rejected atomically.
+fn check(inner: &Inner, req: &Request<'_>) -> Result<()> {
     let cluster = inner.di.cluster();
-    let mut r = BodyReader::new(body);
-    let mut w = BodyWriter::new();
-    match op {
-        OpCode::Ping => {
-            r.expect_end()?;
+    let check_owner = |table: &str, row: &[u8]| {
+        let owner = cluster.server_for_row(table, row)?;
+        if owner == inner.served_id {
+            Ok(())
+        } else {
+            Err(ClusterError::NotServing { owner })
+        }
+    };
+    match req.class() {
+        Class::Write(table, rows) => {
+            for &(row, _) in &rows {
+                check_owner(table, row)?;
+            }
+            for (row, epoch) in rows {
+                if epoch != 0 {
+                    cluster.check_write_epoch(table, row, epoch)?;
+                }
+            }
+            Ok(())
+        }
+        Class::Read(table, row) => check_owner(table, row),
+        Class::Gateway | Class::Admin => Ok(()),
+    }
+}
+
+/// Execute one request: decode it, [`check`] it, run it against the
+/// cluster or the index layer, and return the response to encode. Scans
+/// and table/index administration are gateway ops: any server serves them,
+/// mirroring how the in-process client fans scans out itself.
+fn handle(inner: &Inner, op: OpCode, body: &[u8]) -> Result<Response> {
+    let req = Request::decode(op, body)?;
+    check(inner, &req)?;
+    let cluster = inner.di.cluster();
+    match req {
+        Request::Ping => {
             // A listener whose region server has been declared dead must
             // fail its liveness probe: the TCP socket outliving the crash is
             // exactly the zombie scenario, and answering "healthy" here
@@ -464,211 +466,60 @@ fn handle(inner: &Inner, op: OpCode, body: &[u8]) -> Result<Bytes> {
             if !cluster.is_alive(inner.served_id) {
                 return Err(ClusterError::ServerDown(inner.served_id));
             }
+            Ok(Response::Unit)
         }
-        OpCode::Roster => {
-            r.expect_end()?;
-            let entries = inner.roster.entries();
-            w.u32(entries.len() as u32);
-            for (id, addr) in entries {
-                w.u32(id).str(&addr);
-            }
+        Request::Roster => Ok(Response::Roster(inner.roster.entries())),
+        Request::PartitionMap(table) => {
+            cluster.partition_snapshot(table).map(Response::PartitionMap)
         }
-        OpCode::PartitionMap => {
-            let table = r.str()?;
-            r.expect_end()?;
-            let snap = cluster.partition_snapshot(&table)?;
-            w.u32(snap.len() as u32);
-            for (start, region, server, epoch) in snap {
-                w.bytes(&start).u32(region).u32(server).u64(epoch);
-            }
+        Request::Put(table, row, cols, _) => cluster.put(table, row, &cols).map(Response::Ts),
+        Request::PutBatch(table, rows) => {
+            let rows: Vec<_> = rows
+                .into_iter()
+                .map(|(row, cols, _)| (Bytes::copy_from_slice(row), cols.into_owned()))
+                .collect();
+            cluster.put_batch(table, &rows).map(Response::Stamps)
         }
-        OpCode::Put => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let cols = r.columns()?;
-            let epoch = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            check_epoch(cluster, &table, &row, epoch)?;
-            w.u64(cluster.put(&table, &row, &cols)?);
+        Request::PutReturning(table, row, cols, _) => {
+            cluster.put_returning(table, row, &cols).map(Response::Outcome)
         }
-        OpCode::PutBatch => {
-            let table = r.str()?;
-            let n = r.count()?;
-            let mut rows = Vec::with_capacity(n);
-            let mut epochs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let row = r.bytes()?;
-                let cols = r.columns()?;
-                let epoch = r.u64()?;
-                rows.push((row, cols));
-                epochs.push(epoch);
-            }
-            r.expect_end()?;
-            // Police the whole batch (ownership, then epochs) before
-            // applying any of it, so a misrouted or fenced batch is rejected
-            // atomically.
-            for (row, _) in &rows {
-                check_owner(inner, cluster, &table, row)?;
-            }
-            for ((row, _), epoch) in rows.iter().zip(&epochs) {
-                check_epoch(cluster, &table, row, *epoch)?;
-            }
-            let stamps = cluster.put_batch(&table, &rows)?;
-            w.u32(stamps.len() as u32);
-            for ts in stamps {
-                w.u64(ts);
-            }
+        Request::Delete(table, row, cols, _) => cluster.delete(table, row, &cols).map(Response::Ts),
+        Request::RawPut(table, row, cols, ts, _) => {
+            cluster.raw_put(table, row, &cols, ts).map(|()| Response::Unit)
         }
-        OpCode::PutReturning => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let cols = r.columns()?;
-            let epoch = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            check_epoch(cluster, &table, &row, epoch)?;
-            let outcome = cluster.put_returning(&table, &row, &cols)?;
-            return Ok(wire::encode_put_outcome(&outcome));
+        Request::RawDelete(table, row, cols, ts, _) => {
+            cluster.raw_delete(table, row, &cols, ts).map(|()| Response::Unit)
         }
-        OpCode::Delete => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let cols = r.names()?;
-            let epoch = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            check_epoch(cluster, &table, &row, epoch)?;
-            w.u64(cluster.delete(&table, &row, &cols)?);
+        Request::Get(table, row, col, ts) => cluster.get(table, row, col, ts).map(Response::Value),
+        Request::GetCellVersioned(table, row, col, ts) => {
+            cluster.get_cell_versioned(table, row, col, ts).map(Response::Cell)
         }
-        OpCode::RawPut => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let cols = r.columns()?;
-            let ts = r.u64()?;
-            let epoch = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            check_epoch(cluster, &table, &row, epoch)?;
-            cluster.raw_put(&table, &row, &cols, ts)?;
+        Request::GetRow(table, row, ts) => cluster.get_row(table, row, ts).map(Response::Row),
+        Request::ScanRows(table, start, end, ts, limit) => {
+            cluster.scan_rows(table, start, end, ts, limit).map(Response::Rows)
         }
-        OpCode::RawDelete => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let cols = r.names()?;
-            let ts = r.u64()?;
-            let epoch = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            check_epoch(cluster, &table, &row, epoch)?;
-            cluster.raw_delete(&table, &row, &cols, ts)?;
+        Request::ScanRowsPrefix(table, prefix, ts, limit) => {
+            cluster.scan_rows_prefix(table, prefix, ts, limit).map(Response::Rows)
         }
-        OpCode::Get => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let col = r.bytes()?;
-            let ts = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            match cluster.get(&table, &row, &col, ts)? {
-                None => {
-                    w.u8(0);
-                }
-                Some(v) => {
-                    w.u8(1).versioned(&v);
-                }
-            }
+        Request::ScanRowsRange(table, start, end, ts, limit) => {
+            cluster.scan_rows_range(table, start, end, ts, limit).map(Response::Rows)
         }
-        OpCode::GetCellVersioned => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let col = r.bytes()?;
-            let ts = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            match cluster.get_cell_versioned(&table, &row, &col, ts)? {
-                None => {
-                    w.u8(0);
-                }
-                Some((cts, tomb)) => {
-                    w.u8(1).u64(cts).u8(tomb as u8);
-                }
-            }
+        Request::CreateTable(name, regions) => {
+            cluster.create_table(name, regions).map(|()| Response::Unit)
         }
-        OpCode::GetRow => {
-            let table = r.str()?;
-            let row = r.bytes()?;
-            let ts = r.u64()?;
-            r.expect_end()?;
-            check_owner(inner, cluster, &table, &row)?;
-            let cols = cluster.get_row(&table, &row, ts)?;
-            w.u32(cols.len() as u32);
-            for (c, v) in cols {
-                w.bytes(&c).versioned(&v);
-            }
+        Request::HasTable(table) => Ok(Response::Bool(cluster.has_table(table))),
+        Request::FlushTable(table) => cluster.flush_table(table).map(|()| Response::Unit),
+        Request::CreateIndex(spec, regions) => {
+            inner.di.create_index(spec.into_owned(), regions)?;
+            Ok(Response::Unit)
         }
-        OpCode::ScanRows | OpCode::ScanRowsRange => {
-            let table = r.str()?;
-            let start = r.bytes()?;
-            let end = r.opt_bytes()?;
-            let ts = r.u64()?;
-            let limit = r.u64()? as usize;
-            r.expect_end()?;
-            let rows = if op == OpCode::ScanRows {
-                cluster.scan_rows(&table, &start, end.as_deref(), ts, limit)?
-            } else {
-                cluster.scan_rows_range(&table, &start, end.as_deref(), ts, limit)?
-            };
-            w.u32(rows.len() as u32);
-            for rg in &rows {
-                w.row_group(rg);
-            }
+        Request::DropIndex(base, name) => {
+            inner.di.drop_index(base, name)?;
+            Ok(Response::Unit)
         }
-        OpCode::ScanRowsPrefix => {
-            let table = r.str()?;
-            let prefix = r.bytes()?;
-            let ts = r.u64()?;
-            let limit = r.u64()? as usize;
-            r.expect_end()?;
-            let rows = cluster.scan_rows_prefix(&table, &prefix, ts, limit)?;
-            w.u32(rows.len() as u32);
-            for rg in &rows {
-                w.row_group(rg);
-            }
-        }
-        OpCode::CreateTable => {
-            let name = r.str()?;
-            let regions = r.u32()? as usize;
-            r.expect_end()?;
-            cluster.create_table(&name, regions)?;
-        }
-        OpCode::HasTable => {
-            let name = r.str()?;
-            r.expect_end()?;
-            w.u8(cluster.has_table(&name) as u8);
-        }
-        OpCode::FlushTable => {
-            let name = r.str()?;
-            r.expect_end()?;
-            cluster.flush_table(&name)?;
-        }
-        OpCode::CreateIndex => {
-            let spec = wire::decode_index_spec(&mut r)?;
-            let regions = r.u32()? as usize;
-            r.expect_end()?;
-            inner.di.create_index(spec, regions).map_err(index_err)?;
-        }
-        OpCode::DropIndex => {
-            let base = r.str()?;
-            let name = r.str()?;
-            r.expect_end()?;
-            inner.di.drop_index(&base, &name).map_err(index_err)?;
-        }
-        OpCode::Quiesce => {
-            let base = r.str()?;
-            r.expect_end()?;
-            inner.di.quiesce(&base);
+        Request::Quiesce(base) => {
+            inner.di.quiesce(base);
+            Ok(Response::Unit)
         }
     }
-    Ok(w.finish())
 }

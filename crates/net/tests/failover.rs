@@ -122,14 +122,12 @@ fn unstamped_writes_skip_the_fence() {
     let group = ServerGroup::start(&di).unwrap();
 
     // Raw frame with epoch stamp 0 against the row's current owner.
-    use diff_index_net::wire::{self, BodyWriter, OpCode, STATUS_OK};
+    use diff_index_net::wire::{self, Request, STATUS_OK};
     use std::io::{Read, Write};
     let owner = cluster.server_for_row("t", b"k1").unwrap();
     let addr = group.servers()[owner as usize].addr();
     let mut conn = std::net::TcpStream::connect(addr).unwrap();
-    let mut w = BodyWriter::new();
-    w.str("t").bytes(b"k1").u32(1).bytes(b"title").bytes(b"v").u64(0);
-    conn.write_all(&wire::encode_frame(OpCode::Put as u8, 1, &w.finish())).unwrap();
+    conn.write_all(&Request::Put("t", b"k1", title_cols("v").into(), 0).encode(1)).unwrap();
     let mut len = [0u8; 4];
     conn.read_exact(&mut len).unwrap();
     let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
@@ -140,9 +138,7 @@ fn unstamped_writes_skip_the_fence() {
 
     // But a nonzero stale stamp against the same owner is rejected.
     let cur = cluster.epoch_for_row("t", b"k1").unwrap();
-    let mut w = BodyWriter::new();
-    w.str("t").bytes(b"k1").u32(1).bytes(b"title").bytes(b"v2").u64(cur + 7);
-    conn.write_all(&wire::encode_frame(OpCode::Put as u8, 2, &w.finish())).unwrap();
+    conn.write_all(&Request::Put("t", b"k1", title_cols("v2").into(), cur + 7).encode(2)).unwrap();
     conn.read_exact(&mut len).unwrap();
     let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
     conn.read_exact(&mut payload).unwrap();

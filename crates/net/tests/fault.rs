@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ClusterOptions, FaultPoint};
 use diff_index_core::{DiffIndex, IndexScheme, IndexSpec, Store};
-use diff_index_net::wire::{self, BodyWriter, OpCode, STATUS_OK};
+use diff_index_net::wire::{self, OpCode, Request, STATUS_OK};
 use diff_index_net::{RemoteClient, ServerGroup};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -104,13 +104,10 @@ fn stale_partition_map_is_refreshed_on_not_serving() {
     group.shutdown();
 }
 
-fn encode_put(table: &str, row: &[u8], val: &str) -> Bytes {
-    let mut w = BodyWriter::new();
-    w.str(table).bytes(row).u32(1).bytes(b"title").bytes(val.as_bytes());
-    // Epoch stamp 0 = unstamped: these raw-frame tests exercise framing and
-    // ownership, not fencing.
-    w.u64(0);
-    w.finish()
+/// A Put request frame. Epoch stamp 0 = unstamped: these raw-frame tests
+/// exercise framing and ownership, not fencing.
+fn put_frame(table: &str, row: &[u8], val: &str, request_id: u64) -> Bytes {
+    Request::Put(table, row, title_cols(val).into(), 0).encode(request_id)
 }
 
 fn read_response(conn: &mut TcpStream) -> Option<wire::Frame> {
@@ -151,8 +148,8 @@ fn pipelined_requests_all_complete() {
     let mut conn = TcpStream::connect(&addr).unwrap();
     const N: u64 = 24;
     for id in 1..=N {
-        let body = encode_put("t", format!("p{id:02}").as_bytes(), &format!("v{id}"));
-        conn.write_all(&wire::encode_frame(OpCode::Put as u8, id, &body)).unwrap();
+        conn.write_all(&put_frame("t", format!("p{id:02}").as_bytes(), &format!("v{id}"), id))
+            .unwrap();
     }
     let mut seen = std::collections::HashSet::new();
     for _ in 0..N {
@@ -189,8 +186,8 @@ fn shutdown_drains_before_auq_teardown() {
     let mut conn = TcpStream::connect(&addr).unwrap();
     const N: u64 = 48;
     for id in 1..=N {
-        let body = encode_put("item", format!("d{id:02}").as_bytes(), &format!("v{id}"));
-        conn.write_all(&wire::encode_frame(OpCode::Put as u8, id, &body)).unwrap();
+        conn.write_all(&put_frame("item", format!("d{id:02}").as_bytes(), &format!("v{id}"), id))
+            .unwrap();
     }
     let reader = std::thread::spawn(move || {
         let mut acked = Vec::new();
@@ -221,8 +218,7 @@ fn shutdown_drains_before_auq_teardown() {
 
     // The server really is down for new work.
     assert!(TcpStream::connect(&addr).map(|mut c| {
-        let body = encode_put("item", b"late", "nope");
-        let _ = c.write_all(&wire::encode_frame(OpCode::Put as u8, 1, &body));
+        let _ = c.write_all(&put_frame("item", b"late", "nope", 1));
         read_response(&mut c).is_none()
     }).unwrap_or(true));
 }
@@ -245,16 +241,14 @@ fn malformed_frames_get_protocol_errors() {
     assert_eq!(resp.tag, wire::STATUS_ERR);
     assert_eq!(resp.request_id, 7);
     // Same connection still serves a valid request afterwards.
-    let body = encode_put("t", b"r", "ok");
-    conn.write_all(&wire::encode_frame(OpCode::Put as u8, 8, &body)).unwrap();
+    conn.write_all(&put_frame("t", b"r", "ok", 8)).unwrap();
     let resp = read_response(&mut conn).unwrap();
     assert_eq!(resp.tag, STATUS_OK);
 
-    // Truncated body: the decoder rejects it without panicking.
+    // Truncated body (a Put cut after its table name): the decoder rejects
+    // it without panicking.
     let mut conn2 = TcpStream::connect(&addr).unwrap();
-    let mut w = BodyWriter::new();
-    w.str("t");
-    conn2.write_all(&wire::encode_frame(OpCode::Put as u8, 9, &w.finish())).unwrap();
+    conn2.write_all(&wire::encode_frame(OpCode::Put as u8, 9, b"\x01\x00\x00\x00t")).unwrap();
     let resp = read_response(&mut conn2).unwrap();
     assert_eq!(resp.tag, wire::STATUS_ERR);
     let err = wire::decode_error(&resp.body);

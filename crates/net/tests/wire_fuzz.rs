@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ClusterOptions};
 use diff_index_core::{DiffIndex, Store};
-use diff_index_net::wire::{self, BodyWriter, OpCode, STATUS_OK};
+use diff_index_net::wire::{self, OpCode, Request, STATUS_OK};
 use diff_index_net::{RemoteClient, ServerGroup};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -73,28 +73,30 @@ fn send_and_drain(addr: &str, payload: &[u8]) {
     }
 }
 
-/// A fresh, well-formed connection must still get a Ping response.
-fn assert_still_serving(addr: &str) {
+/// Send one well-formed request frame on a fresh connection and assert the
+/// server answers it with `STATUS_OK` under the same request id.
+fn assert_answered_ok(addr: &str, frame: &[u8], request_id: u64) {
     let mut s = connect(addr);
-    let frame = wire::encode_frame(OpCode::Ping as u8, 7, b"");
-    s.write_all(&frame).unwrap();
+    s.write_all(frame).unwrap();
     let mut len = [0u8; 4];
-    s.read_exact(&mut len).expect("server must answer a well-formed Ping");
+    s.read_exact(&mut len).expect("server must answer a well-formed request");
     let n = wire::check_frame_len(u32::from_le_bytes(len)).unwrap();
     let mut payload = vec![0u8; n];
     s.read_exact(&mut payload).unwrap();
     let f = wire::decode_frame(&payload).unwrap();
-    assert_eq!(f.tag, STATUS_OK);
-    assert_eq!(f.request_id, 7);
+    assert_eq!(f.tag, STATUS_OK, "error response: {}", wire::decode_error(&f.body));
+    assert_eq!(f.request_id, request_id);
 }
 
-/// A syntactically valid Put request frame, used as the corruption victim.
+/// A fresh, well-formed connection must still get a Ping response.
+fn assert_still_serving(addr: &str) {
+    assert_answered_ok(addr, &Request::Ping.encode(7), 7);
+}
+
+/// A Put request frame the server accepts, used as the corruption victim.
 fn valid_put_frame() -> Vec<u8> {
-    let mut w = BodyWriter::new();
-    w.str("item").bytes(b"row1");
-    w.u32(1); // one column
-    w.bytes(b"title").bytes(b"value");
-    wire::encode_frame(OpCode::Put as u8, 99, &w.finish()).to_vec()
+    let cols = [(Bytes::from("title"), Bytes::from("value"))];
+    Request::Put("item", b"row1", cols[..].into(), 0).encode(99).to_vec()
 }
 
 #[test]
@@ -119,8 +121,9 @@ fn garbage_frames_never_panic_or_wedge_the_server() {
     assert_still_serving(&addr);
 
     // 3. Truncations of a valid frame at every boundary that matters, plus
-    //    random cut points.
+    //    random cut points. Uncorrupted, the frame is accepted.
     let frame = valid_put_frame();
+    assert_answered_ok(&addr, &frame, 99);
     for cut in [1usize, 3, 4, 5, 6, 13, frame.len() - 1] {
         send_and_drain(&addr, &frame[..cut]);
     }
