@@ -2,10 +2,13 @@
 //! snapshot acquisition, memtable probe, single-table probe (warm cache),
 //! raw block binary search, and the full engine `get`. Together they show
 //! where a warm point read spends its time and prove the lock-free rebuild
-//! pays off end to end.
+//! pays off end to end. `engine_get_cold` and `crc32_4k` cover the miss
+//! path: a get whose block must be read, checksummed, decoded and cached,
+//! evicting another.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use diff_index_lsm::util::crc32;
 use diff_index_lsm::{Block, BlockCache, Cell, LsmOptions, LsmTree};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -21,10 +24,10 @@ fn key(id: u64) -> Bytes {
 }
 
 /// TABLES tables of contiguous key ranges plus a live memtable holding
-/// fresher versions of 20% of keys.
-fn build_tree(dir: &TempDir) -> LsmTree {
+/// fresher versions of 20% of keys, under a block cache of `cache_bytes`.
+fn build_tree(dir: &TempDir, cache_bytes: usize) -> LsmTree {
     let opts = LsmOptions {
-        block_cache: Some(Arc::new(BlockCache::new(256 * 1024 * 1024))),
+        block_cache: Some(Arc::new(BlockCache::new(cache_bytes))),
         memtable_flush_bytes: usize::MAX,
         compaction_trigger: 0,
         ..LsmOptions::default()
@@ -41,16 +44,26 @@ fn build_tree(dir: &TempDir) -> LsmTree {
     for id in (0..KEYS).step_by(5) {
         tree.put(key(id), KEYS + id + 1, vec![b'w'; 100]).unwrap();
     }
-    // Warm the block cache.
+    // Warm the block cache (fill it, when it is smaller than the tables).
     for id in 0..KEYS {
         tree.get_latest(&key(id)).unwrap();
     }
     tree
 }
 
+/// Bytes of the SSTables under `dir`.
+fn table_bytes(dir: &TempDir) -> usize {
+    std::fs::read_dir(dir.path().join("db"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+        .map(|p| std::fs::metadata(p).unwrap().len() as usize)
+        .sum()
+}
+
 fn bench_read_path(c: &mut Criterion) {
     let dir = TempDir::new("bench-read-path").unwrap();
-    let tree = build_tree(&dir);
+    let tree = build_tree(&dir, 256 * 1024 * 1024);
     let mut rng = StdRng::seed_from_u64(0xBE7C);
 
     let mut g = c.benchmark_group("read_path");
@@ -98,6 +111,22 @@ fn bench_read_path(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // The same tree under a cache of a quarter of its table bytes: most
+    // gets miss, read and checksum a block, and evict the LRU block.
+    let cold_dir = TempDir::new("bench-read-path-cold").unwrap();
+    let cold = build_tree(&cold_dir, table_bytes(&dir) / 4);
+    g.bench_function("engine_get_cold", |b| {
+        b.iter_batched(
+            || key(rng.random_range(0..KEYS)),
+            |k| black_box(cold.get_latest(&k).unwrap()),
+            BatchSize::SmallInput,
+        )
+    });
+
+    // One checksum over a block-sized buffer, as every cache miss pays.
+    let buf: Vec<u8> = (0..4096).map(|_| rng.random_range(0..256u64) as u8).collect();
+    g.bench_function("crc32_4k", |b| b.iter(|| black_box(crc32(black_box(&buf)))));
 
     g.finish();
 }

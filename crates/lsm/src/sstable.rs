@@ -999,6 +999,22 @@ mod tests {
     }
 
     #[test]
+    fn block_decode_detects_every_single_bit_flip() {
+        let cells: Vec<Cell> =
+            (0..36).map(|i| Cell::put(format!("key{i:06}"), i + 1, vec![b'v'; 100])).collect();
+        let body = Block::from_cells(&cells).data.to_vec();
+        // A ~4 KiB body whose length leaves a tail for the bytewise CRC loop.
+        assert!(body.len() > 4000 && !body.len().is_multiple_of(16), "body length {}", body.len());
+        let mut buf = body.clone();
+        put_u32(&mut buf, crate::util::crc32(&body));
+        for pos in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[pos] ^= 1 << (pos % 8);
+            assert_eq!(Block::decode(bad).unwrap_err(), "checksum mismatch", "byte {pos}");
+        }
+    }
+
+    #[test]
     fn table_get_with_metrics_counts_cache_traffic() {
         let dir = TempDir::new("sst").unwrap();
         let path = dir.path().join("t.sst");
@@ -1029,11 +1045,13 @@ mod tests {
         }
         b.finish().unwrap();
         let cache = Arc::new(BlockCache::new(1 << 20));
-        let t = Table::open(&path, 7, Some(Arc::clone(&cache))).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        let t = Table::open(&path, 7, Some(cache)).unwrap().with_metrics(Arc::clone(&metrics));
         t.get_versioned(b"key000010", u64::MAX).unwrap().unwrap();
-        let misses_after_first = cache.misses();
+        let misses_after_first = metrics.snapshot().block_cache_misses;
         t.get_versioned(b"key000010", u64::MAX).unwrap().unwrap();
-        assert_eq!(cache.misses(), misses_after_first, "second read must hit cache");
-        assert!(cache.hits() >= 1);
+        let s = metrics.snapshot();
+        assert_eq!(s.block_cache_misses, misses_after_first, "second read must hit cache");
+        assert!(s.block_cache_hits >= 1);
     }
 }
