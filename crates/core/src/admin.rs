@@ -13,13 +13,12 @@
 //!   no AUQ — the queue lives server-side.
 
 use crate::error::{IndexError, Result};
-use crate::observers::{AsyncObserver, SyncFullObserver, SyncInsertObserver};
+use crate::observers::IndexObserver;
 use crate::read::{self, IndexHit};
 use crate::session::{Session, SessionConfig};
-use crate::spec::{IndexScheme, IndexSpec};
+use crate::spec::IndexSpec;
 use crate::store::Store;
-use crate::{auq::Auq, encoding::index_row};
-use bytes::Bytes;
+use crate::{auq::Auq, encoding::index_row, maintain};
 use diff_index_cluster::Cluster;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -178,23 +177,9 @@ impl DiffIndex {
                 // Register the observer BEFORE backfilling so concurrent
                 // writes are not missed; backfill re-writing an entry the
                 // observer already wrote is idempotent (same timestamp).
-                let (observer_token, auq) = match spec.scheme {
-                    IndexScheme::SyncFull => {
-                        let obs = Arc::new(SyncFullObserver::new(cluster, Arc::clone(&spec)));
-                        let auq = Arc::clone(obs.auq());
-                        (cluster.register_observer(&spec.base_table, obs)?, auq)
-                    }
-                    IndexScheme::SyncInsert => {
-                        let obs = Arc::new(SyncInsertObserver::new(cluster, Arc::clone(&spec)));
-                        let auq = Arc::clone(obs.auq());
-                        (cluster.register_observer(&spec.base_table, obs)?, auq)
-                    }
-                    IndexScheme::AsyncSimple | IndexScheme::AsyncSession => {
-                        let obs = Arc::new(AsyncObserver::new(cluster, Arc::clone(&spec)));
-                        let auq = Arc::clone(obs.auq());
-                        (cluster.register_observer(&spec.base_table, obs)?, auq)
-                    }
-                };
+                let observer = Arc::new(IndexObserver::new(cluster, Arc::clone(&spec)));
+                let auq = Arc::clone(observer.auq());
+                let observer_token = cluster.register_observer(&spec.base_table, observer)?;
 
                 self.backfill(&spec)?;
                 Arc::new(IndexHandle { spec: Arc::clone(&spec), auq: Some(auq), observer_token })
@@ -216,26 +201,13 @@ impl DiffIndex {
     /// Build index entries for rows that existed before the index did.
     fn backfill(&self, spec: &IndexSpec) -> Result<()> {
         let store = self.inner.store.as_ref();
-        let index_table = spec.index_table();
         let rows = store.scan_rows(&spec.base_table, b"", None, u64::MAX, usize::MAX)?;
         for (row, cols) in rows {
-            let mut values = Vec::with_capacity(spec.columns.len());
-            let mut entry_ts = 0u64;
-            for ic in &spec.columns {
-                match cols.iter().find(|(c, _)| c == ic) {
-                    Some((_, v)) => {
-                        values.push(v.value.clone());
-                        entry_ts = entry_ts.max(v.ts);
-                    }
-                    None => {
-                        values.clear();
-                        break;
-                    }
-                }
-            }
-            if values.len() == spec.columns.len() {
-                let key = index_row(&values, &row);
-                store.raw_put(&index_table, &key, &[(Bytes::new(), Bytes::new())], entry_ts)?;
+            let entry = maintain::index_values(spec, |ic| {
+                Ok(cols.iter().find(|(c, _)| c == ic).map(|(_, v)| v.clone()))
+            })?;
+            if let Some((values, ts)) = entry {
+                maintain::put_entry(store, spec, &index_row(&values, &row), ts)?;
             }
         }
         Ok(())

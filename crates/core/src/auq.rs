@@ -3,17 +3,19 @@
 //!
 //! * `async-simple` / `async-session` enqueue *all* index maintenance here
 //!   and acknowledge the client immediately (Algorithm 3); the APS worker
-//!   drains the queue in the background (Algorithm 4).
-//! * The synchronous schemes enqueue *failed* index operations here, which
-//!   is how causal consistency degrades gracefully to eventual instead of
-//!   rolling back the base put (§6.2, Atomicity/Durability).
+//!   drains the queue in the background (Algorithm 4), running the same
+//!   `maintain` steps the synchronous schemes run inline.
+//! * The synchronous schemes enqueue *failed* index writes here, as
+//!   `PutIndex` / `DeleteIndex` retries, which is how causal consistency
+//!   degrades gracefully to eventual instead of rolling back the base put
+//!   (§6.2, Atomicity/Durability).
 //! * Failure recovery (Figure 5): `pause()` blocks new enqueues, the queue
 //!   is drained before the base memtable flushes (so `PR(Flushed) = ∅`),
 //!   then `resume()` reopens intake after the WAL rolls forward. During WAL
 //!   replay every restored base put is re-enqueued; re-delivery is
 //!   idempotent because index entries carry their base entry's timestamp.
 
-use crate::encoding::index_row;
+use crate::maintain;
 use crate::spec::IndexSpec;
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ColumnValue, WeakCluster};
@@ -34,9 +36,9 @@ const MAX_RETRIES: u32 = 64;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexTask {
     /// Full asynchronous maintenance for one observed base operation
-    /// (Algorithm 4: `RB`, `DI`, `PI`). Carries the written columns, as the
-    /// paper's AUQ carries the put `⟨k, vnew, tnew⟩` itself — the new value
-    /// does not need a second base read.
+    /// (Algorithm 4: `RB`, `DI`, `PI`). Carries the indexed columns the put
+    /// wrote, as the paper's AUQ carries the put `⟨k, vnew, tnew⟩` itself —
+    /// the new value does not need a second base read.
     Maintain {
         /// Base row that was written.
         row: Bytes,
@@ -44,7 +46,7 @@ pub enum IndexTask {
         ts: u64,
         /// True if the base operation was a delete.
         is_delete: bool,
-        /// The columns the observed put wrote (empty for deletes).
+        /// The indexed columns the observed put wrote (empty for deletes).
         put_columns: Vec<ColumnValue>,
     },
     /// Retry of a failed synchronous index insert (`PI`).
@@ -357,55 +359,28 @@ impl Auq {
 
     /// Execute one task against the cluster. `Maintain` is Algorithm 4:
     /// BA2 read the pre-image, BA3 delete the old index entry, BA4 insert
-    /// the new one.
+    /// the new one; a failed write sends the whole task back for retry.
     fn execute(&self, cluster: &Cluster, task: &IndexTask) -> crate::error::Result<()> {
         let spec = &self.spec;
-        let index_table = spec.index_table();
         match task {
             IndexTask::Maintain { row, ts, is_delete, put_columns } => {
-                // BA2: value of the indexed columns right before this op.
-                let old = read_index_values(cluster, spec, row, ts - DELTA)?;
-                // New state: the values carried by the task, plus (for a
-                // composite index only) stored values of columns the put
-                // did not touch.
                 let new = if *is_delete {
                     None
                 } else {
-                    new_index_values(cluster, spec, row, put_columns, *ts)?
+                    maintain::values_at(cluster, spec, row, put_columns, *ts)?
                 };
-                // BA3: delete the old entry (unless the value is unchanged).
-                if let Some(old_vals) = &old {
-                    if new.as_ref() != Some(old_vals) {
-                        let old_key = index_row(old_vals, row);
-                        cluster.raw_delete(
-                            &index_table,
-                            &old_key,
-                            &[Bytes::new()],
-                            ts - DELTA,
-                        )?;
-                    }
-                }
-                // BA4: insert the new entry.
-                if let Some(new_vals) = &new {
-                    let new_key = index_row(new_vals, row);
-                    cluster.raw_put(
-                        &index_table,
-                        &new_key,
-                        &[(Bytes::new(), Bytes::new())],
-                        *ts,
-                    )?;
-                }
-                Ok(())
+                maintain::replace_old(cluster, spec, row, new.as_deref(), ts - DELTA)?
+                    .map_err(|f| f.error)?;
+                maintain::put_new(cluster, spec, row, new.as_deref(), *ts).map_err(|f| f.error)?;
             }
             IndexTask::PutIndex { index_row, ts } => {
-                cluster.raw_put(&index_table, index_row, &[(Bytes::new(), Bytes::new())], *ts)?;
-                Ok(())
+                maintain::put_entry(cluster, spec, index_row, *ts)?;
             }
             IndexTask::DeleteIndex { index_row, ts } => {
-                cluster.raw_delete(&index_table, index_row, &[Bytes::new()], *ts)?;
-                Ok(())
+                maintain::delete_entry(cluster, spec, index_row, *ts)?;
             }
         }
+        Ok(())
     }
 }
 
@@ -413,50 +388,6 @@ impl Drop for Auq {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Compute the index values of `row` *after* a put that wrote
-/// `put_columns` at `ts`: written columns come from the put itself, the
-/// rest (composite indexes) from a snapshot read. `None` if the row is not
-/// fully indexed afterwards.
-pub fn new_index_values(
-    store: &dyn crate::store::Store,
-    spec: &IndexSpec,
-    row: &[u8],
-    put_columns: &[ColumnValue],
-    ts: u64,
-) -> crate::error::Result<Option<Vec<Bytes>>> {
-    let mut vals = Vec::with_capacity(spec.columns.len());
-    for col in &spec.columns {
-        if let Some((_, v)) = put_columns.iter().find(|(c, _)| c == col) {
-            vals.push(v.clone());
-        } else {
-            match store.get(&spec.base_table, row, col, ts)? {
-                Some(v) => vals.push(v.value),
-                None => return Ok(None),
-            }
-        }
-    }
-    Ok(Some(vals))
-}
-
-/// Read the values of every indexed column of `row` as of snapshot `ts`.
-/// Returns `None` unless ALL indexed columns are present (a partially
-/// populated row is not indexed).
-pub fn read_index_values(
-    store: &dyn crate::store::Store,
-    spec: &IndexSpec,
-    row: &[u8],
-    ts: u64,
-) -> crate::error::Result<Option<Vec<Bytes>>> {
-    let mut vals = Vec::with_capacity(spec.columns.len());
-    for col in &spec.columns {
-        match store.get(&spec.base_table, row, col, ts)? {
-            Some(v) => vals.push(v.value),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(vals))
 }
 
 fn wall_ms() -> u64 {
@@ -469,6 +400,7 @@ fn wall_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::index_row;
     use crate::spec::IndexScheme;
     use diff_index_cluster::{ClusterOptions, Cluster};
     use tempdir_lite::TempDir;
@@ -686,6 +618,29 @@ mod tests {
         // Enqueue after shutdown is a no-op, not a hang.
         auq.enqueue(IndexTask::PutIndex { index_row: b("x"), ts: 1 });
         assert_eq!(auq.metrics().enqueued.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn async_put_queues_only_the_indexed_columns() {
+        // The AUQ entry is the paper's ⟨k, vnew, tnew⟩: columns the index
+        // does not cover stay out of the queue.
+        let (_d, cluster, spec, _auq) = setup();
+        let observer = Arc::new(crate::observers::IndexObserver::new(&cluster, Arc::clone(&spec)));
+        let auq = Arc::clone(observer.auq());
+        cluster.register_observer("base", observer).unwrap();
+        auq.set_stalled(true);
+        let filler = Bytes::from(vec![b'x'; 100]);
+        cluster.put("base", b"r1", &[(b("name"), b("alice")), (b("filler"), filler)]).unwrap();
+        match &auq.state.lock().queue.front().expect("the put is queued").0 {
+            IndexTask::Maintain { put_columns, .. } => {
+                assert_eq!(put_columns, &vec![(b("name"), b("alice"))]);
+            }
+            other => panic!("expected a Maintain task, got {other:?}"),
+        }
+        auq.set_stalled(false);
+        auq.wait_idle();
+        let key = index_row(&[b("alice")], b"r1");
+        assert!(cluster.get(&spec.index_table(), &key, b"", u64::MAX).unwrap().is_some());
     }
 
     fn maintain_task(i: usize) -> IndexTask {

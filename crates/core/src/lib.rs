@@ -43,6 +43,7 @@ pub mod cost;
 pub mod encoding;
 pub mod error;
 pub mod history;
+mod maintain;
 pub mod observers;
 pub mod read;
 pub mod session;

@@ -1,9 +1,9 @@
 //! Index read path: `getByIndex` for exact-match and range queries, with
 //! the `sync-insert` double-check-and-clean routine (Algorithm 2).
 
-use crate::auq::read_index_values;
-use crate::encoding::{decode_index_row, value_prefix, value_range};
+use crate::encoding::{decode_index_row, index_row, value_prefix, value_range};
 use crate::error::Result;
+use crate::maintain;
 use crate::spec::{IndexScheme, IndexSpec};
 use crate::store::Store;
 use bytes::Bytes;
@@ -95,7 +95,7 @@ fn apply_scheme_read(
     }
     let mut kept = Vec::with_capacity(hits.len());
     for hit in hits {
-        let current = read_index_values(store, spec, &hit.row, u64::MAX)?;
+        let current = maintain::values_at(store, spec, &hit.row, &[], u64::MAX)?;
         if current.as_ref() == Some(&hit.values) {
             kept.push(hit);
             if kept.len() >= limit {
@@ -103,8 +103,7 @@ fn apply_scheme_read(
             }
         } else {
             // Stale: delete 〈vindex ⊕ k, ts〉 from the index table.
-            let stale_key = crate::encoding::index_row(&hit.values, &hit.row);
-            store.raw_delete(&spec.index_table(), &stale_key, &[Bytes::new()], hit.ts)?;
+            maintain::delete_entry(store, spec, &index_row(&hit.values, &hit.row), hit.ts)?;
         }
     }
     Ok(kept)

@@ -129,8 +129,7 @@ impl Session {
             if spec.scheme != IndexScheme::AsyncSession {
                 continue;
             }
-            let touched: Vec<Bytes> = columns.iter().map(|(c, _)| c.clone()).collect();
-            if !spec.touches(&touched) {
+            if !spec.touches(columns.iter().map(|(c, _)| c)) {
                 continue;
             }
             // Assemble old/new values per indexed column: written columns

@@ -130,8 +130,8 @@ impl IndexSpec {
     }
 
     /// True if a put/delete touching `columns` affects this index.
-    pub fn touches(&self, columns: &[Bytes]) -> bool {
-        self.columns.iter().any(|ic| columns.iter().any(|c| c == ic))
+    pub fn touches<C: AsRef<[u8]>>(&self, columns: impl IntoIterator<Item = C>) -> bool {
+        columns.into_iter().any(|c| self.columns.iter().any(|ic| ic[..] == *c.as_ref()))
     }
 }
 

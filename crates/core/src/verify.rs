@@ -8,9 +8,9 @@
 //! (delete stale entries, insert missing ones) with the correct base
 //! timestamps, preserving the §4.3 invariant.
 
-use crate::auq::read_index_values;
 use crate::encoding::{decode_index_row, index_row};
 use crate::error::Result;
+use crate::maintain;
 use crate::spec::IndexSpec;
 use crate::store::Store;
 use bytes::Bytes;
@@ -78,21 +78,10 @@ pub fn verify_index(store: &dyn Store, spec: &IndexSpec) -> Result<VerifyReport>
     let rows = store.scan_rows(&spec.base_table, b"", None, u64::MAX, usize::MAX)?;
     for (row, cols) in rows {
         report.rows_checked += 1;
-        let mut values = Vec::with_capacity(spec.columns.len());
-        let mut ts = 0u64;
-        for ic in &spec.columns {
-            match cols.iter().find(|(c, _)| c == ic) {
-                Some((_, v)) => {
-                    values.push(v.value.clone());
-                    ts = ts.max(v.ts);
-                }
-                None => {
-                    values.clear();
-                    break;
-                }
-            }
-        }
-        if values.len() == spec.columns.len() {
+        let entry = maintain::index_values(spec, |ic| {
+            Ok(cols.iter().find(|(c, _)| c == ic).map(|(_, v)| v.clone()))
+        })?;
+        if let Some((values, ts)) = entry {
             expected.insert(index_row(&values, &row), ts);
         }
     }
@@ -130,12 +119,12 @@ pub fn cleanse_index(store: &dyn Store, spec: &IndexSpec) -> Result<usize> {
     for d in report.divergences {
         match d {
             Divergence::Stale { index_row, ts, .. } => {
-                store.raw_delete(&index_table, &index_row, &[Bytes::new()], ts)?;
+                maintain::delete_entry(store, spec, &index_row, ts)?;
             }
             Divergence::Missing { index_row, base_row, ts } => {
                 // Re-derive the values defensively (the base may have moved
                 // on since the scan) and only insert if still current.
-                if let Some(vals) = read_index_values(store, spec, &base_row, u64::MAX)? {
+                if let Some(vals) = maintain::values_at(store, spec, &base_row, &[], u64::MAX)? {
                     let current = crate::encoding::index_row(&vals, &base_row);
                     if current == index_row {
                         // Administrative repair must out-time whatever
@@ -150,12 +139,7 @@ pub fn cleanse_index(store: &dyn Store, spec: &IndexSpec) -> Result<usize> {
                             .get_cell_versioned(&index_table, &index_row, b"", u64::MAX)?
                             .map(|(sts, _)| sts)
                             .unwrap_or(0);
-                        store.raw_put(
-                            &index_table,
-                            &index_row,
-                            &[(Bytes::new(), Bytes::new())],
-                            shadow.max(ts) + 1,
-                        )?;
+                        maintain::put_entry(store, spec, &index_row, shadow.max(ts) + 1)?;
                     }
                 }
             }

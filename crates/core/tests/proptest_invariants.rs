@@ -3,7 +3,8 @@
 //! 1. index-row encoding round-trips and preserves tuple order;
 //! 2. under arbitrary put/delete sequences (with random flushes and
 //!    crash/recover cycles), every scheme converges to an index that is
-//!    exactly the projection of the base table;
+//!    exactly the projection of the base table, for single-column and
+//!    two-column composite indexes;
 //! 3. a session always observes its own writes.
 
 use bytes::Bytes;
@@ -196,6 +197,105 @@ fn assert_projection(
     Ok(())
 }
 
+// --- composite-index convergence ---------------------------------------------
+
+/// An action on a two-column (`a`, `b`) composite index. `cols` selects the
+/// columns a put writes or a delete removes: bit 0 is `a`, bit 1 is `b`.
+#[derive(Debug, Clone)]
+enum CompositeAction {
+    Put { row: u8, cols: u8, a: u8, b: u8 },
+    Delete { row: u8, cols: u8 },
+    Flush,
+    CrashRecover { server: u8 },
+}
+
+fn composite_action_strategy() -> impl Strategy<Value = CompositeAction> {
+    prop_oneof![
+        8 => (0u8..10, 1u8..4, 0u8..3, 0u8..3)
+            .prop_map(|(row, cols, a, b)| CompositeAction::Put { row, cols, a, b }),
+        2 => (0u8..10, 1u8..4).prop_map(|(row, cols)| CompositeAction::Delete { row, cols }),
+        1 => Just(CompositeAction::Flush),
+        1 => (0u8..2).prop_map(|server| CompositeAction::CrashRecover { server }),
+    ]
+}
+
+/// Puts that write only one of the two columns make maintenance read the
+/// other from the base table; after quiesce, the entries must still be
+/// exactly the rows holding both columns, filed under their current values.
+fn run_composite_convergence(
+    scheme: IndexScheme,
+    actions: &[CompositeAction],
+) -> Result<(), TestCaseError> {
+    let dir = TempDir::new("prop-composite").unwrap();
+    let cluster = Cluster::new(
+        dir.path(),
+        ClusterOptions { num_servers: 2, lsm: small_lsm() },
+    )
+    .unwrap();
+    cluster.create_table("t", 4).unwrap();
+    let di = DiffIndex::new(cluster.clone());
+    di.create_index(IndexSpec::composite("ix", "t", vec![b("a"), b("b")], scheme), 4).unwrap();
+
+    // Ground truth: row -> (a, b), each column present or not.
+    let mut truth: BTreeMap<String, [Option<String>; 2]> = BTreeMap::new();
+    for action in actions {
+        match action {
+            CompositeAction::Put { row, cols, a, b: bv } => {
+                let r = format!("row{row:02}");
+                let cells = truth.entry(r.clone()).or_default();
+                let mut columns = Vec::new();
+                for (i, (name, value)) in
+                    [("a", format!("a{a}")), ("b", format!("b{bv}"))].into_iter().enumerate()
+                {
+                    if cols & (1 << i) != 0 {
+                        columns.push((b(name), b(&value)));
+                        cells[i] = Some(value);
+                    }
+                }
+                cluster.put("t", r.as_bytes(), &columns).unwrap();
+            }
+            CompositeAction::Delete { row, cols } => {
+                let r = format!("row{row:02}");
+                let cells = truth.entry(r.clone()).or_default();
+                let mut columns = Vec::new();
+                for (i, name) in ["a", "b"].into_iter().enumerate() {
+                    if cols & (1 << i) != 0 {
+                        columns.push(b(name));
+                        cells[i] = None;
+                    }
+                }
+                cluster.delete("t", r.as_bytes(), &columns).unwrap();
+            }
+            CompositeAction::Flush => cluster.flush_table("t").unwrap(),
+            CompositeAction::CrashRecover { server } => {
+                cluster.crash_server(*server as u32);
+                cluster.recover().unwrap();
+                cluster.restart_server(*server as u32);
+            }
+        }
+    }
+    di.quiesce("t");
+
+    for a in 0..3u8 {
+        let a = format!("a{a}");
+        let hits = di.get_by_index("t", "ix", a.as_bytes(), 1000).unwrap();
+        let mut got: Vec<(String, Vec<Bytes>)> = hits
+            .iter()
+            .map(|h| (String::from_utf8(h.row.to_vec()).unwrap(), h.values.clone()))
+            .collect();
+        got.sort();
+        let want: Vec<(String, Vec<Bytes>)> = truth
+            .iter()
+            .filter_map(|(r, cells)| match cells {
+                [Some(va), Some(vb)] if *va == a => Some((r.clone(), vec![b(va), b(vb)])),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(got, want, "{:?}: entries under {}", scheme, a);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(conv_config())]
 
@@ -272,6 +372,27 @@ proptest! {
     #[test]
     fn async_simple_converges(actions in prop::collection::vec(action_strategy(), 1..40)) {
         run_convergence(IndexScheme::AsyncSimple, &actions)?;
+    }
+
+    #[test]
+    fn composite_sync_full_converges(
+        actions in prop::collection::vec(composite_action_strategy(), 1..40)
+    ) {
+        run_composite_convergence(IndexScheme::SyncFull, &actions)?;
+    }
+
+    #[test]
+    fn composite_sync_insert_converges(
+        actions in prop::collection::vec(composite_action_strategy(), 1..40)
+    ) {
+        run_composite_convergence(IndexScheme::SyncInsert, &actions)?;
+    }
+
+    #[test]
+    fn composite_async_simple_converges(
+        actions in prop::collection::vec(composite_action_strategy(), 1..40)
+    ) {
+        run_composite_convergence(IndexScheme::AsyncSimple, &actions)?;
     }
 
     #[test]

@@ -305,3 +305,53 @@ fn double_replay_of_same_wal_segment_does_not_duplicate_entries() {
         }
     }
 }
+
+/// §6.2: a synchronous index write that cannot reach its region degrades to
+/// the AUQ instead of failing the base put, and lands once the region is
+/// recovered.
+fn index_write_to_dead_server_degrades_to_auq(scheme: IndexScheme) {
+    let (_d, cluster, di) = setup(scheme, 2);
+    let handle = di.index("item", "title").unwrap();
+    let index_table = handle.spec.index_table();
+    // A row whose base region and index-entry region live on different
+    // servers.
+    let (row, index_server) = (b'0'..=b'z')
+        .map(|c| format!("{}item", c as char))
+        .find_map(|row| {
+            let key = diff_index_core::encoding::index_row(&[b("degraded")], row.as_bytes());
+            let base_server = cluster.server_for_row("item", row.as_bytes()).unwrap();
+            let index_server = cluster.server_for_row(&index_table, &key).unwrap();
+            (base_server != index_server).then_some((row, index_server))
+        })
+        .expect("some row's base and index regions are on different servers");
+
+    cluster.crash_server(index_server);
+    cluster.put("item", row.as_bytes(), &[(b("item_title"), b("degraded"))]).unwrap();
+    let enqueued = handle.auq().metrics().enqueued.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(enqueued >= 1, "{scheme:?}: the failed index write must be queued for retry");
+
+    cluster.recover().unwrap();
+    di.quiesce("item");
+    match scheme {
+        IndexScheme::SyncFull => {
+            let report = diff_index_core::verify_index(&cluster, &handle.spec).unwrap();
+            assert!(report.is_clean(), "{scheme:?}: {:?}", report.divergences);
+        }
+        IndexScheme::SyncInsert => {
+            let hits = di.get_by_index("item", "title", b"degraded", 10).unwrap();
+            assert_eq!(hits.len(), 1, "{scheme:?}");
+            assert_eq!(hits[0].row.as_ref(), row.as_bytes());
+        }
+        _ => unreachable!(),
+    }
+}
+
+#[test]
+fn sync_full_index_write_to_dead_server_degrades_to_auq() {
+    index_write_to_dead_server_degrades_to_auq(IndexScheme::SyncFull);
+}
+
+#[test]
+fn sync_insert_index_write_to_dead_server_degrades_to_auq() {
+    index_write_to_dead_server_degrades_to_auq(IndexScheme::SyncInsert);
+}

@@ -7,7 +7,7 @@
 //!
 //! ## Read-path concurrency
 //!
-//! Reads are served from an immutable [`Snapshot`] — the active memtable,
+//! Reads are served from an immutable `Snapshot` — the active memtable,
 //! a list of frozen (flushing) memtables, and the SSTable stack — published
 //! behind an atomically swapped `Arc`. A reader clones the `Arc` once and
 //! then works entirely from its private view: memtable probes take a brief
