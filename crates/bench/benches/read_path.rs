@@ -2,14 +2,14 @@
 //! snapshot acquisition, memtable probe, single-table probe (warm cache),
 //! raw block binary search, and the full engine `get`. Together they show
 //! where a warm point read spends its time and prove the lock-free rebuild
-//! pays off end to end. `engine_get_cold` and `crc32_4k` cover the miss
-//! path: a get whose block must be read, checksummed, decoded and cached,
-//! evicting another.
+//! pays off end to end. `engine_get_cold`, `crc32_4k` and
+//! `block_decode_4k` cover the miss path: a get whose block must be read,
+//! checksummed, decoded and cached, evicting another.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use diff_index_lsm::util::crc32;
-use diff_index_lsm::{Block, BlockCache, Cell, LsmOptions, LsmTree};
+use diff_index_lsm::util::{crc32, put_len_prefixed, put_u32, put_varint};
+use diff_index_lsm::{Block, BlockCache, Cell, CellKind, LsmOptions, LsmTree};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -127,6 +127,21 @@ fn bench_read_path(c: &mut Criterion) {
     // One checksum over a block-sized buffer, as every cache miss pays.
     let buf: Vec<u8> = (0..4096).map(|_| rng.random_range(0..256u64) as u8).collect();
     g.bench_function("crc32_4k", |b| b.iter(|| black_box(crc32(black_box(&buf)))));
+
+    // One miss's CPU work after the `pread`: checksum, parse and allocate
+    // a ~4 KiB block of 36 `build_tree`-style cells, then free it.
+    let mut raw = Vec::new();
+    for id in 0..36 {
+        raw.push(CellKind::Put.to_u8());
+        put_varint(&mut raw, id + 1);
+        put_len_prefixed(&mut raw, &key(id));
+        put_len_prefixed(&mut raw, &[b'v'; 100]);
+    }
+    let crc = crc32(&raw);
+    put_u32(&mut raw, crc);
+    g.bench_function("block_decode_4k", |b| {
+        b.iter(|| black_box(Block::decode(black_box(&raw)).unwrap()))
+    });
 
     g.finish();
 }

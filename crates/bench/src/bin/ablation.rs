@@ -15,6 +15,8 @@
 //!    recovery re-enqueueing already-delivered work, which LSM semantics
 //!    absorb with zero duplicate entries.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ClusterOptions};
 use diff_index_core::{DiffIndex, IndexScheme, IndexSpec};

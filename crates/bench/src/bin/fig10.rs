@@ -4,6 +4,8 @@
 //! 8-server cluster; latencies at 5× the throughput are a couple of times
 //! larger; yet the relative ordering of the schemes is preserved.
 
+#![forbid(unsafe_code)]
+
 use diff_index_bench::{render_curves, render_summary};
 use diff_index_sim::{update_curves, Curve, SimConfig};
 

@@ -5,6 +5,8 @@
 //! 4000 TPS the system is close to saturation and the index can be up to
 //! several hundred seconds late.
 
+#![forbid(unsafe_code)]
+
 use diff_index_sim::{staleness_sweep, SimConfig};
 
 fn main() {

@@ -4,6 +4,8 @@
 //! `full` (sync-full), plus the §8.2 headline numbers derived from the
 //! curves.
 
+#![forbid(unsafe_code)]
+
 use diff_index_bench::{render_curves, render_summary};
 use diff_index_sim::{update_curves, SimConfig};
 

@@ -5,6 +5,8 @@
 //! (each hit incurs a base-table double check); async reads match sync-full
 //! but without a consistency guarantee.
 
+#![forbid(unsafe_code)]
+
 use diff_index_bench::{render_curves, render_summary};
 use diff_index_sim::{read_curves, SimConfig};
 

@@ -4,6 +4,8 @@
 //! enormously as selectivity drops because every returned row is
 //! double-checked against the base table.
 
+#![forbid(unsafe_code)]
+
 use diff_index_sim::{range_query_sweep, SimConfig};
 
 fn main() {

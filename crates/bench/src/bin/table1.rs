@@ -11,6 +11,8 @@
 //! * LSM reads are relatively slow (multi-component lookup); B-Tree reads
 //!   are relatively fast.
 
+#![forbid(unsafe_code)]
+
 use diff_index_btree::BTree;
 use diff_index_lsm::{LsmOptions, LsmTree};
 use std::time::Instant;

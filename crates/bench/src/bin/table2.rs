@@ -7,6 +7,8 @@
 //! Index Read)` counts next to the analytic table from
 //! `diff_index_core::cost`. The binary exits non-zero on any mismatch.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ClusterOptions};
 use diff_index_core::{read_cost, update_cost, DiffIndex, IndexScheme, IndexSpec};

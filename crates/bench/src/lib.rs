@@ -17,6 +17,7 @@
 //! asymmetry, per-scheme update cost and index-read cost on the real stack.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use diff_index_sim::Curve;
 

@@ -13,6 +13,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod node;
 pub mod pager;

@@ -41,6 +41,8 @@
 //! A violation is reproducible by re-running its single failing seed:
 //! `cargo run -p chaos -- --seed N --scheme S [--net]`.
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod rng;
 pub mod runner;

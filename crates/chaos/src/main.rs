@@ -11,6 +11,8 @@
 //! Exit status 0 = every scenario passed; 1 = at least one violation (each
 //! printed with the exact command that reproduces it).
 
+#![forbid(unsafe_code)]
+
 use chaos::{run_seed, Mode, RunOptions, RunOutcome};
 use diff_index_core::IndexScheme;
 use std::io::Write;

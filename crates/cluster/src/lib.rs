@@ -20,6 +20,7 @@
 //! latency model lives in `diff-index-sim`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod cluster;

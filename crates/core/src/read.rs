@@ -7,6 +7,7 @@ use crate::maintain;
 use crate::spec::{IndexScheme, IndexSpec};
 use crate::store::Store;
 use bytes::Bytes;
+use diff_index_cluster::encoding::prefix_end;
 
 /// One index hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,8 +32,8 @@ pub fn read_exact(
     limit: usize,
 ) -> Result<Vec<IndexHit>> {
     let prefix = value_prefix(value);
-    let raw = scan_index(store, spec, &prefix, None, limit)?;
-    apply_scheme_read(store, spec, raw, limit)
+    let end = prefix_end(&prefix).expect("a terminated value encoding never ends in 0xFF");
+    read_window(store, spec, Window::Prefix(&prefix), &end, limit)
 }
 
 /// Range index lookup over the first indexed column: `lo <= v <= hi` when
@@ -46,27 +47,66 @@ pub fn read_range(
     limit: usize,
 ) -> Result<Vec<IndexHit>> {
     let (start, end) = value_range(lo, hi, inclusive);
-    let raw = scan_index(store, spec, &start, Some(&end), limit)?;
-    apply_scheme_read(store, spec, raw, limit)
+    read_window(store, spec, Window::From(&start), &end, limit)
 }
 
-/// SR1: scan the index table, decoding each key-only row into a hit.
+/// Where an index scan starts: a whole value prefix (exact match, one
+/// `scan_rows_prefix` call as before), or a row key onwards (range reads and
+/// continuations past an over-fetch window).
+#[derive(Clone, Copy)]
+enum Window<'a> {
+    Prefix(&'a [u8]),
+    From(&'a [u8]),
+}
+
+/// Scan index rows from `window` up to `end` (exclusive) and apply the
+/// scheme's read rule. Under sync-insert, SR1 over-fetches because SR2 may
+/// repair some hits away; when it does, the scan resumes after the last row
+/// fetched until `limit` live hits are found or the range ends.
+fn read_window(
+    store: &dyn Store,
+    spec: &IndexSpec,
+    window: Window<'_>,
+    end: &[u8],
+    limit: usize,
+) -> Result<Vec<IndexHit>> {
+    if spec.scheme != IndexScheme::SyncInsert {
+        let (hits, _) = scan_index(store, spec, window, end, limit)?;
+        return Ok(hits);
+    }
+    let fetch = limit.saturating_mul(2).max(limit.saturating_add(16));
+    let mut kept = Vec::new();
+    let (hits, mut resume) = scan_index(store, spec, window, end, fetch)?;
+    validate(store, spec, hits, limit, &mut kept)?;
+    while kept.len() < limit {
+        let Some(start) = resume else { break };
+        let (hits, next) = scan_index(store, spec, Window::From(&start), end, fetch)?;
+        validate(store, spec, hits, limit, &mut kept)?;
+        resume = next;
+    }
+    Ok(kept)
+}
+
+/// SR1: scan up to `fetch` index rows, decoding each key-only row into a
+/// hit. Also returns the row key just past the last one scanned when the
+/// scan stopped at `fetch` rather than at `end`.
 fn scan_index(
     store: &dyn Store,
     spec: &IndexSpec,
-    start: &[u8],
-    end: Option<&[u8]>,
-    limit: usize,
-) -> Result<Vec<IndexHit>> {
-    // Over-fetch under sync-insert: some hits may be repaired away.
-    let fetch = if spec.scheme == IndexScheme::SyncInsert {
-        limit.saturating_mul(2).max(limit.saturating_add(16))
-    } else {
-        limit
+    window: Window<'_>,
+    end: &[u8],
+    fetch: usize,
+) -> Result<(Vec<IndexHit>, Option<Vec<u8>>)> {
+    let rows = match window {
+        Window::Prefix(p) => store.scan_rows_prefix(&spec.index_table(), p, u64::MAX, fetch)?,
+        Window::From(s) => {
+            store.scan_rows_range(&spec.index_table(), s, Some(end), u64::MAX, fetch)?
+        }
     };
-    let rows = match end {
-        None => store.scan_rows_prefix(&spec.index_table(), start, u64::MAX, fetch)?,
-        Some(e) => store.scan_rows_range(&spec.index_table(), start, Some(e), u64::MAX, fetch)?,
+    // The smallest row key after the last one: that key plus a zero byte.
+    let next = match rows.last() {
+        Some((last, _)) if rows.len() >= fetch => Some([last.as_ref(), &[0]].concat()),
+        _ => None,
     };
     let mut hits = Vec::with_capacity(rows.len());
     for (key, cols) in rows {
@@ -76,37 +116,32 @@ fn scan_index(
         let ts = cols.first().map(|(_, v)| v.ts).unwrap_or(0);
         hits.push(IndexHit { values, row, ts });
     }
-    Ok(hits)
+    Ok((hits, next))
 }
 
 /// SR2 (Algorithm 2), applied only for `sync-insert`: for every hit, read
-/// the base row; keep the hit if the base still carries the indexed value,
-/// otherwise delete the stale index entry.
-fn apply_scheme_read(
+/// the base row; keep the hit (up to `limit` in `kept`) if the base still
+/// carries the indexed value, otherwise delete the stale index entry.
+fn validate(
     store: &dyn Store,
     spec: &IndexSpec,
     hits: Vec<IndexHit>,
     limit: usize,
-) -> Result<Vec<IndexHit>> {
-    if spec.scheme != IndexScheme::SyncInsert {
-        let mut hits = hits;
-        hits.truncate(limit);
-        return Ok(hits);
-    }
-    let mut kept = Vec::with_capacity(hits.len());
+    kept: &mut Vec<IndexHit>,
+) -> Result<()> {
     for hit in hits {
+        if kept.len() >= limit {
+            break;
+        }
         let current = maintain::values_at(store, spec, &hit.row, &[], u64::MAX)?;
         if current.as_ref() == Some(&hit.values) {
             kept.push(hit);
-            if kept.len() >= limit {
-                break;
-            }
         } else {
             // Stale: delete 〈vindex ⊕ k, ts〉 from the index table.
             maintain::delete_entry(store, spec, &index_row(&hit.values, &hit.row), hit.ts)?;
         }
     }
-    Ok(kept)
+    Ok(())
 }
 
 /// Convenience: fetch the full base rows for a set of hits.

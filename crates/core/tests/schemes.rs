@@ -175,6 +175,26 @@ fn sync_insert_fresh_entries_are_correct() {
     }
 }
 
+#[test]
+fn sync_insert_limited_read_scans_past_a_window_of_stale_entries() {
+    // 20 stale entries ahead of the live ones: more than a limit-2 read's
+    // over-fetch window of 18, so the read must resume past it.
+    let (_d, cluster, di) = setup(IndexScheme::SyncInsert);
+    for i in 0..25 {
+        put_title(&cluster, &format!("r{i:02}"), "v");
+    }
+    for i in 0..20 {
+        put_title(&cluster, &format!("r{i:02}"), "w");
+    }
+    let hits = di.get_by_index("item", "title", b"v", 2).unwrap();
+    assert_eq!(rows_of(&hits), vec!["r20", "r21"]);
+    let hits = di.range_by_index("item", "title", b"v", b"v", true, 3).unwrap();
+    assert_eq!(rows_of(&hits), vec!["r20", "r21", "r22"]);
+    let hits = di.get_by_index("item", "title", b"v", 100).unwrap();
+    assert_eq!(rows_of(&hits), vec!["r20", "r21", "r22", "r23", "r24"]);
+    assert_eq!(di.get_by_index("item", "title", b"w", 100).unwrap().len(), 20);
+}
+
 // --- async-simple ------------------------------------------------------------
 
 #[test]

@@ -98,11 +98,13 @@ impl Shard {
         self.nodes[i as usize].block.clone()
     }
 
-    /// Insert and return how many resident blocks were evicted to make room.
-    fn insert(&mut self, id: BlockId, block: Arc<Block>) -> u64 {
+    /// Insert and hand back the resident blocks evicted to make room, for
+    /// the caller to free after releasing the shard lock.
+    fn insert(&mut self, id: BlockId, block: Arc<Block>) -> Vec<Arc<Block>> {
+        let mut evicted = Vec::new();
         let size = block.size_bytes();
         if size > self.capacity {
-            return 0; // Oversized block: never cache.
+            return evicted; // Oversized block: never cache.
         }
         let i = match self.map.get(&id).copied() {
             Some(i) => {
@@ -133,16 +135,14 @@ impl Shard {
         self.push_front(i);
         // The new block is at the front and fits on its own, so the tail is
         // never it while the budget is exceeded.
-        let mut evicted = 0;
         while self.bytes > self.capacity {
             let victim = self.tail;
             self.unlink(victim);
             let node = &mut self.nodes[victim as usize];
-            node.block = None;
+            evicted.extend(node.block.take());
             self.bytes -= node.size;
             self.map.remove(&node.id);
             self.free.push(victim);
-            evicted += 1;
         }
         evicted
     }
@@ -180,9 +180,11 @@ impl BlockCache {
 
     /// Insert a freshly decoded block. Returns the number of blocks evicted
     /// to stay within the byte budget, so callers can surface eviction
-    /// pressure in their own metrics.
+    /// pressure in their own metrics. Evicted blocks are freed after the
+    /// shard lock is released, so other threads never wait on the frees.
     pub fn insert(&self, table_id: u64, offset: u64, block: Arc<Block>) -> u64 {
-        self.shard((table_id, offset)).lock().insert((table_id, offset), block)
+        let evicted = self.shard((table_id, offset)).lock().insert((table_id, offset), block);
+        evicted.len() as u64
     }
 
     /// Total resident bytes across shards.
@@ -284,12 +286,12 @@ mod tests {
         let mut s = Shard::new(3 * size);
         let (a, b, c, d, e) = ((1, 0), (2, 0), (3, 0), (4, 0), (5, 0));
         for id in [a, b, c] {
-            assert_eq!(s.insert(id, block(2)), 0, "fits within capacity");
+            assert!(s.insert(id, block(2)).is_empty(), "fits within capacity");
         }
         assert!(s.touch(a).is_some());
-        assert_eq!(s.insert(d, block(2)), 1);
+        assert_eq!(s.insert(d, block(2)).len(), 1);
         assert_eq!(check(&s), [d, a, c], "B was least recently used");
-        assert_eq!(s.insert(e, block(2)), 1);
+        assert_eq!(s.insert(e, block(2)).len(), 1);
         assert_eq!(check(&s), [e, d, a], "then C");
     }
 
@@ -302,11 +304,11 @@ mod tests {
             s.insert(id, block(2));
         }
         let smaller = block(1);
-        assert_eq!(s.insert(a, Arc::clone(&smaller)), 0);
+        assert!(s.insert(a, Arc::clone(&smaller)).is_empty());
         assert_eq!(check(&s), [a, c, b]);
         assert_eq!(s.bytes, 2 * size + smaller.size_bytes());
         assert!(Arc::ptr_eq(&s.touch(a).unwrap(), &smaller), "re-insert replaces the block");
-        assert_eq!(s.insert(d, block(2)), 1);
+        assert_eq!(s.insert(d, block(2)).len(), 1);
         assert_eq!(check(&s), [d, a, c], "B, not the re-inserted A, is evicted");
     }
 
@@ -317,11 +319,12 @@ mod tests {
         let mut peak = 0;
         let mut evicted = 0;
         for i in 0..100_000u64 {
-            evicted += s.insert((i, i * 4096), Arc::clone(&blocks[i as usize % blocks.len()]));
+            evicted +=
+                s.insert((i, i * 4096), Arc::clone(&blocks[i as usize % blocks.len()])).len();
             peak = peak.max(s.map.len());
             assert!(s.bytes <= s.capacity);
         }
-        assert_eq!(evicted, 100_000 - s.map.len() as u64, "every eviction is counted");
+        assert_eq!(evicted, 100_000 - s.map.len(), "every eviction is counted");
         assert!(s.nodes.len() <= peak + 1, "slab {} vs peak resident {peak}", s.nodes.len());
         check(&s);
     }

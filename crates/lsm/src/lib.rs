@@ -26,6 +26,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The one `unsafe` module is the CRC kernel, `util::clmul`.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bloom;
 pub mod cache;

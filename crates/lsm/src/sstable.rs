@@ -25,6 +25,7 @@ use crate::util::{
     put_varint,
 };
 use bytes::Bytes;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -228,27 +229,30 @@ impl TableBuilder {
 // ---------------------------------------------------------------------------
 
 /// A decoded, immutable data block: the block body as **one** shared byte
-/// buffer plus a per-cell offset array.
+/// buffer plus one per-cell index array.
 ///
 /// The seed decoded every block into a `Vec<Cell>`, paying two
 /// `Bytes::copy_from_slice` allocations per cell up front and a linear scan
 /// per lookup. A `Block` instead validates the encoding once, remembers
 /// where each cell starts, and hands out cells on demand: key/value `Bytes`
 /// are O(1) refcounted windows into the block buffer (`Bytes::slice`), and
-/// point lookups binary-search the offset array with borrowed-slice key
-/// comparisons — no allocation on the lookup path at all.
+/// point lookups search the index with borrowed-slice key comparisons — no
+/// allocation on the lookup path at all.
 #[derive(Debug)]
 pub struct Block {
     /// Block body (cell encodings only; the trailing CRC is stripped).
     data: Bytes,
-    /// Byte offset of each cell encoding within `data`, ascending.
-    offsets: Vec<u32>,
-    /// Per-cell key prefix (see [`key_prefix`]), same order as `offsets`.
-    /// Seeks scan this contiguous array instead of binary-searching the
+    /// Number of cells.
+    len: usize,
+    /// Per-cell key prefixes (see [`key_prefix`]) in `[..len]`, then the
+    /// cells' `u32` byte offsets into `data`, four per word, ascending.
+    /// Seeks scan the contiguous prefixes instead of binary-searching the
     /// block body: on a cold block the body parses are serially-dependent
     /// DRAM misses, while a sequential prefix scan streams through the
-    /// hardware prefetcher. Only prefix-tied cells are parsed.
-    prefixes: Vec<u128>,
+    /// hardware prefetcher. Only prefix-tied cells are parsed. One
+    /// exactly-sized allocation, so a miss allocates twice (this and
+    /// `data`) and an eviction frees as little.
+    index: Box<[u128]>,
 }
 
 /// Parse the key parts of the cell encoded at `off`. Caller guarantees the
@@ -262,37 +266,58 @@ fn parse_key_at(d: &[u8], off: usize) -> (&[u8], Timestamp, CellKind) {
     (key, ts, kind)
 }
 
+/// Per-thread scratch for [`Block::decode`]: cell prefixes and offsets
+/// collected in one pass, before the exact count is known. Reused, so a
+/// decode neither regrows vectors nor frees them.
+struct DecodeScratch {
+    prefixes: Vec<u128>,
+    offsets: Vec<u32>,
+}
+
+thread_local! {
+    static DECODE_SCRATCH: RefCell<DecodeScratch> =
+        const { RefCell::new(DecodeScratch { prefixes: Vec::new(), offsets: Vec::new() }) };
+}
+
 impl Block {
-    /// Validate and index a raw block read from disk (body + trailing CRC).
-    /// Consumes the buffer; the block shares it without further copies.
-    pub fn decode(buf: Vec<u8>) -> std::result::Result<Block, String> {
+    /// Validate and index a raw block as read from disk (body + trailing
+    /// CRC), copying the body once into the block's own buffer.
+    pub fn decode(buf: &[u8]) -> std::result::Result<Block, String> {
         if buf.len() < 4 {
             return Err("short block".into());
         }
         let body_len = buf.len() - 4;
-        let crc = get_u32(&buf, body_len).unwrap();
-        if crc32(&buf[..body_len]) != crc {
+        let crc = get_u32(buf, body_len).expect("length checked above");
+        let body = &buf[..body_len];
+        if crc32(body) != crc {
             return Err("checksum mismatch".into());
         }
-        let body = &buf[..body_len];
-        let mut offsets = Vec::new();
-        let mut prefixes = Vec::new();
-        let mut off = 0usize;
-        while off < body.len() {
-            offsets.push(off as u32);
-            CellKind::from_u8(body[off]).ok_or_else(|| "bad cell kind".to_string())?;
-            off += 1;
-            let (_, n) = get_varint(&body[off..]).ok_or_else(|| "short ts".to_string())?;
-            off += n;
-            let (key, n) =
-                get_len_prefixed(&body[off..]).ok_or_else(|| "short key".to_string())?;
-            prefixes.push(key_prefix(key));
-            off += n;
-            let (_, n) =
-                get_len_prefixed(&body[off..]).ok_or_else(|| "short value".to_string())?;
-            off += n;
-        }
-        Ok(Block { data: Bytes::from(buf).slice(..body_len), offsets, prefixes })
+        DECODE_SCRATCH.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.prefixes.clear();
+            scratch.offsets.clear();
+            let mut off = 0usize;
+            while off < body.len() {
+                scratch.offsets.push(off as u32);
+                CellKind::from_u8(body[off]).ok_or_else(|| "bad cell kind".to_string())?;
+                off += 1;
+                let (_, n) = get_varint(&body[off..]).ok_or_else(|| "short ts".to_string())?;
+                off += n;
+                let (key, n) =
+                    get_len_prefixed(&body[off..]).ok_or_else(|| "short key".to_string())?;
+                scratch.prefixes.push(key_prefix(key));
+                off += n;
+                let (_, n) =
+                    get_len_prefixed(&body[off..]).ok_or_else(|| "short value".to_string())?;
+                off += n;
+            }
+            let packed = scratch
+                .offsets
+                .chunks(4)
+                .map(|four| four.iter().rev().fold(0u128, |word, &o| (word << 32) | u128::from(o)));
+            let index = scratch.prefixes.iter().copied().chain(packed).collect();
+            Ok(Block { data: Bytes::copy_from_slice(body), len: scratch.prefixes.len(), index })
+        })
     }
 
     /// Build a block in memory from already-sorted cells (tests and cache
@@ -307,34 +332,45 @@ impl Block {
         }
         let crc = crc32(&body);
         put_u32(&mut body, crc);
-        Block::decode(body).expect("self-encoded block is valid")
+        Block::decode(&body).expect("self-encoded block is valid")
+    }
+
+    /// Key prefixes of the cells, in order.
+    fn prefixes(&self) -> &[u128] {
+        &self.index[..self.len]
+    }
+
+    /// Byte offset of cell `i` within `data`.
+    fn offset(&self, i: usize) -> usize {
+        assert!(i < self.len, "cell {i} of {}", self.len);
+        (self.index[self.len + i / 4] >> (32 * (i % 4))) as u32 as usize
     }
 
     /// Number of cells in the block.
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.len
     }
 
     /// True if the block holds no cells.
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.len == 0
     }
 
     /// Approximate resident size, for cache accounting.
     pub fn size_bytes(&self) -> usize {
-        self.data.len() + self.offsets.len() * (4 + 16) + 64
+        self.data.len() + self.index.len() * 16 + 64
     }
 
     /// Borrowed key parts of cell `i`: `(user_key, ts, kind)`.
     pub fn key_parts(&self, i: usize) -> (&[u8], Timestamp, CellKind) {
-        parse_key_at(self.data.as_ref(), self.offsets[i] as usize)
+        parse_key_at(self.data.as_ref(), self.offset(i))
     }
 
     /// Materialize cell `i`. Key and value are zero-copy windows into the
     /// block buffer.
     pub fn cell(&self, i: usize) -> Cell {
         let d = self.data.as_ref();
-        let mut off = self.offsets[i] as usize;
+        let mut off = self.offset(i);
         let kind = CellKind::from_u8(d[off]).expect("validated at decode");
         off += 1;
         let (ts, n) = get_varint(&d[off..]).expect("validated at decode");
@@ -363,20 +399,29 @@ impl Block {
     /// only the tie range is parsed for the full `(key, ts, kind)` compare.
     pub fn seek(&self, user_key: &[u8], ts: Timestamp, kind: CellKind) -> usize {
         let target = key_prefix(user_key);
-        let n = self.prefixes.len();
+        let prefixes = self.prefixes();
+        let n = prefixes.len();
         let mut lo = 0usize;
-        while lo < n && self.prefixes[lo] < target {
+        while lo < n && prefixes[lo] < target {
             lo += 1;
         }
         let mut hi = lo;
-        while hi < n && self.prefixes[hi] == target {
+        while hi < n && prefixes[hi] == target {
             hi += 1;
         }
+        // Binary-search the tie range on the full internal key.
         let d = self.data.as_ref();
-        lo + self.offsets[lo..hi].partition_point(|&o| {
-            let parts = parse_key_at(d, o as usize);
-            cmp_internal(parts, (user_key, ts, kind)) == Ordering::Less
-        })
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if cmp_internal(parse_key_at(d, self.offset(mid)), (user_key, ts, kind))
+                == Ordering::Less
+            {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
@@ -429,6 +474,17 @@ pub struct Table {
     /// for tables opened outside an engine (tools, tests).
     metrics: Option<Arc<Metrics>>,
 }
+
+thread_local! {
+    /// Per-thread buffer a missed block is read and checksummed in, so a
+    /// miss allocates only the decoded [`Block`].
+    static READ_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Capacity [`READ_BUF`] keeps between reads: a few default-sized blocks.
+/// A rare larger block (one oversized cell) is read into a buffer freed
+/// after it.
+const READ_BUF_RETAIN: usize = 64 << 10;
 
 /// Source of globally unique cache namespaces.
 static NEXT_CACHE_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -600,10 +656,14 @@ impl Table {
                 Metrics::bump(&m.block_cache_misses);
             }
         }
-        let mut buf = vec![0u8; entry.len as usize];
-        self.file.read_exact_at(&mut buf, entry.offset)?;
-        let block = Block::decode(buf).map_err(|m| {
-            LsmError::Corruption(format!("{}: block: {m}", self.path.display()))
+        let block = READ_BUF.with(|buf| {
+            let buf = &mut *buf.borrow_mut();
+            buf.resize(entry.len as usize, 0);
+            self.file.read_exact_at(buf, entry.offset)?;
+            let block = Block::decode(buf)
+                .map_err(|m| LsmError::Corruption(format!("{}: block: {m}", self.path.display())));
+            buf.shrink_to(READ_BUF_RETAIN);
+            block
         })?;
         let block = Arc::new(block);
         if let Some(cache) = &self.cache {
@@ -991,11 +1051,107 @@ mod tests {
 
     #[test]
     fn block_decode_rejects_garbage() {
-        assert!(Block::decode(vec![1, 2]).is_err(), "shorter than crc");
-        let mut body = vec![9u8; 10]; // 9 is not a valid cell kind
-        let crc = crate::util::crc32(&body);
-        put_u32(&mut body, crc);
-        assert!(Block::decode(body).is_err());
+        assert_eq!(Block::decode(&[1, 2]).unwrap_err(), "short block", "shorter than crc");
+        let with_crc = |mut body: Vec<u8>| {
+            let crc = crate::util::crc32(&body);
+            put_u32(&mut body, crc);
+            Block::decode(&body).unwrap_err()
+        };
+        // 9 is not a valid cell kind.
+        assert_eq!(with_crc(vec![9u8; 10]), "bad cell kind");
+        // One whole cell, then a second cut short in each field.
+        let mut whole = vec![CellKind::Put.to_u8()];
+        put_varint(&mut whole, 300);
+        put_len_prefixed(&mut whole, b"key");
+        put_len_prefixed(&mut whole, b"value");
+        let cut = |tail: &[u8]| [whole.as_slice(), tail].concat();
+        let put = CellKind::Put.to_u8();
+        assert_eq!(with_crc(cut(&[put])), "short ts", "no ts");
+        assert_eq!(with_crc(cut(&[put, 0xAC])), "short ts", "ts varint cut mid-way");
+        assert_eq!(with_crc(cut(&[put, 7])), "short key", "no key length");
+        assert_eq!(with_crc(cut(&[put, 7, 3, b'k', b'e'])), "short key", "key cut");
+        assert_eq!(with_crc(cut(&[put, 7, 1, b'k'])), "short value", "no value length");
+        assert_eq!(with_crc(cut(&[put, 7, 1, b'k', 5, b'v'])), "short value", "value cut");
+    }
+
+    /// Sorted, de-duplicated cells whose keys mostly share one of a few
+    /// 16-byte prefixes (so seeks must resolve prefix ties by parsing),
+    /// with a mix of timestamps, kinds and value lengths.
+    fn random_cells(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<Cell> {
+        use rand::RngExt;
+        const PREFIXES: [&[u8]; 3] = [b"shared-prefix-00", b"shared-prefix-01", b"short"];
+        let mut cells: Vec<Cell> = (0..n)
+            .map(|_| {
+                let mut key = PREFIXES[rng.random_range(0..PREFIXES.len())].to_vec();
+                for _ in 0..rng.random_range(0..4usize) {
+                    key.push(b"\0ab\xff"[rng.random_range(0..4usize)]);
+                }
+                let ts = rng.random_range(0..5u64);
+                if rng.random_range(0..4u32) == 0 {
+                    Cell::delete(key, ts)
+                } else {
+                    Cell::put(key, ts, vec![b'v'; rng.random_range(0..300usize)])
+                }
+            })
+            .collect();
+        cells.sort_by(|a, b| a.key.cmp(&b.key));
+        cells.dedup_by(|a, b| a.key == b.key);
+        cells
+    }
+
+    #[test]
+    fn block_read_through_table_matches_from_cells_and_linear_reference() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB10C);
+        let dir = TempDir::new("sst").unwrap();
+        for round in 0..200 {
+            let n = rng.random_range(1..201usize);
+            let cells = random_cells(&mut rng, n);
+            let path = dir.path().join(format!("t{round}.sst"));
+            let opts = TableOptions { block_size: 1 << 20, bloom_bits_per_key: 10 };
+            let mut b = TableBuilder::create(&path, opts).unwrap();
+            for c in &cells {
+                b.add(c).unwrap();
+            }
+            b.finish().unwrap();
+            let table = Table::open(&path, 1, None).unwrap();
+            assert_eq!(table.block_count(), 1);
+            let read = table.read_block(0).unwrap();
+            let built = Block::from_cells(&cells);
+            assert_eq!((read.len(), built.len()), (cells.len(), cells.len()), "round {round}");
+            assert_eq!(read.size_bytes(), built.size_bytes());
+            for (i, want) in cells.iter().enumerate() {
+                assert_eq!(read.cell(i), *want, "round {round} cell {i}");
+                assert_eq!(built.cell(i), *want, "round {round} cell {i}");
+            }
+            // Every stored key at neighbouring versions and both kinds, plus
+            // keys that fall between, before and after the stored ones.
+            let mut probes: Vec<(Vec<u8>, Timestamp)> = cells
+                .iter()
+                .flat_map(|c| {
+                    (c.key.ts.saturating_sub(1)..=c.key.ts + 1)
+                        .map(|ts| (c.key.user_key.to_vec(), ts))
+                })
+                .collect();
+            probes.extend(
+                random_cells(&mut rng, 20).into_iter().map(|c| (c.key.user_key.to_vec(), c.key.ts)),
+            );
+            probes.extend([(Vec::new(), 0), (b"shared-prefix-0".to_vec(), 3), (vec![0xFF; 20], 1)]);
+            for (key, ts) in &probes {
+                for kind in [CellKind::Delete, CellKind::Put] {
+                    let want = cells
+                        .iter()
+                        .position(|c| {
+                            cmp_internal((&c.key.user_key, c.key.ts, c.key.kind), (key, *ts, kind))
+                                != Ordering::Less
+                        })
+                        .unwrap_or(cells.len());
+                    let at = format!("round {round} {key:?}@{ts} {kind:?}");
+                    assert_eq!(read.seek(key, *ts, kind), want, "{at}");
+                    assert_eq!(built.seek(key, *ts, kind), want, "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1010,7 +1166,7 @@ mod tests {
         for pos in 0..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 1 << (pos % 8);
-            assert_eq!(Block::decode(bad).unwrap_err(), "checksum mismatch", "byte {pos}");
+            assert_eq!(Block::decode(&bad).unwrap_err(), "checksum mismatch", "byte {pos}");
         }
     }
 

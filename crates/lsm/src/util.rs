@@ -1,11 +1,16 @@
 //! Low-level encoding helpers: CRC-32 checksums and varints.
 //!
 //! Implemented locally because the workspace deliberately limits external
-//! dependencies (see DESIGN.md §5). The CRC uses slicing-by-16: every block
-//! read that misses the block cache checksums the whole block, and a
-//! byte-at-a-time loop cost more than the `pread` that fetched it.
+//! dependencies (see DESIGN.md §5). Every block read that misses the block
+//! cache checksums the whole block, so the CRC is built for speed: a
+//! carry-less-multiply kernel on x86_64 CPUs with `pclmulqdq` (chosen at run
+//! time), slicing-by-16 everywhere else and for short inputs and tails.
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-16.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul;
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected).
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
@@ -13,11 +18,25 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Incremental CRC-32: feed `state` from a previous call (start with
 /// `0xFFFF_FFFF`, finish by XOR-ing with `0xFFFF_FFFF`).
 ///
+/// Inputs of 64 bytes or more go through the PCLMULQDQ folding kernel when
+/// the CPU has it; the rest, and the last `len % 16` bytes, through the
+/// portable slicing-by-16 loop. Both compute the same values.
+pub fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some((state, tail)) = clmul::fold(state, data) {
+        return crc32_update_slicing(state, tail);
+    }
+    crc32_update_slicing(state, data)
+}
+
+/// Portable incremental CRC-32, slicing-by-16: same contract as
+/// [`crc32_update`].
+///
 /// Consumes 16 bytes per step with one lookup per byte into 16 tables. Only
 /// the four lookups of the bytes XOR-ed with `state` wait on the previous
 /// step; the other twelve run ahead of it. A tail shorter than 16 bytes
 /// goes through the bytewise loop.
-pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
+fn crc32_update_slicing(mut state: u32, data: &[u8]) -> u32 {
     let t = crc_tables();
     let mut chunks = data.chunks_exact(16);
     for chunk in &mut chunks {
@@ -208,8 +227,8 @@ mod tests {
         assert_eq!(st ^ 0xFFFF_FFFF, oneshot);
     }
 
-    /// The byte-at-a-time CRC the slicing kernel replaced, kept as the
-    /// reference it must agree with.
+    /// The byte-at-a-time CRC the fast kernels replaced, kept as the
+    /// reference they must agree with.
     fn crc32_update_bytewise(mut state: u32, data: &[u8]) -> u32 {
         let t = &crc_tables()[0];
         for &b in data {
@@ -230,17 +249,52 @@ mod tests {
             .collect()
     }
 
+    /// One CRC kernel run on its own; `None` where it cannot run.
+    type Kernel = fn(u32, &[u8]) -> Option<u32>;
+
+    fn portable(state: u32, data: &[u8]) -> Option<u32> {
+        Some(crc32_update_slicing(state, data))
+    }
+
+    /// The PCLMULQDQ kernel plus the portable tail: `None` for input
+    /// shorter than its 64-byte minimum or on a CPU without `pclmulqdq`.
+    #[cfg(target_arch = "x86_64")]
+    fn hardware(state: u32, data: &[u8]) -> Option<u32> {
+        clmul::fold(state, data).map(|(state, tail)| crc32_update_slicing(state, tail))
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn hardware(_: u32, _: &[u8]) -> Option<u32> {
+        None
+    }
+
+    const KERNELS: [(&str, Kernel); 2] = [("portable", portable), ("pclmulqdq", hardware)];
+
+    /// True when this CPU runs the hardware kernel.
+    fn has_pclmulqdq() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return is_x86_feature_detected!("pclmulqdq");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
     #[test]
     fn crc32_matches_bytewise_reference_at_every_length_and_alignment() {
-        let buf = lcg_bytes(300 + 16, 0xC0FFEE);
-        for start in 0..16 {
-            for len in 0..=300 {
-                let data = &buf[start..start + len];
-                assert_eq!(
-                    crc32_update(0xFFFF_FFFF, data),
-                    crc32_update_bytewise(0xFFFF_FFFF, data),
-                    "start {start} len {len}"
-                );
+        let buf = lcg_bytes((64 << 10) + 16, 0xC0FFEE);
+        for (name, kernel) in KERNELS {
+            let accepts = |len| name == "portable" || (has_pclmulqdq() && len >= 64);
+            for len in (0..=300).chain([4 << 10, 64 << 10]) {
+                for start in 0..16 {
+                    let data = &buf[start..start + len];
+                    match kernel(0xFFFF_FFFF, data) {
+                        Some(got) => assert_eq!(
+                            got,
+                            crc32_update_bytewise(0xFFFF_FFFF, data),
+                            "{name}: start {start} len {len}"
+                        ),
+                        None => assert!(!accepts(len), "{name} refused len {len}"),
+                    }
+                }
             }
         }
     }
@@ -249,10 +303,29 @@ mod tests {
     fn crc32_split_at_every_point_matches_oneshot() {
         let buf = lcg_bytes(1024, 7);
         let oneshot = crc32(&buf);
-        for split in 0..=buf.len() {
-            let st = crc32_update(0xFFFF_FFFF, &buf[..split]);
-            assert_eq!(crc32_update(st, &buf[split..]) ^ 0xFFFF_FFFF, oneshot, "split {split}");
+        assert_eq!(oneshot, crc32_update_bytewise(0xFFFF_FFFF, &buf) ^ 0xFFFF_FFFF);
+        for (name, kernel) in KERNELS {
+            // Each half runs on `kernel` where it can, as `crc32_update` would.
+            let update = |st, d: &[u8]| kernel(st, d).unwrap_or_else(|| portable(st, d).unwrap());
+            for split in 0..=buf.len() {
+                let st = update(0xFFFF_FFFF, &buf[..split]);
+                assert_eq!(
+                    update(st, &buf[split..]) ^ 0xFFFF_FFFF,
+                    oneshot,
+                    "{name}: split {split}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn crc32_update_selects_the_hardware_kernel_when_the_cpu_has_it() {
+        let buf = lcg_bytes(4096, 42);
+        assert_eq!(hardware(0xFFFF_FFFF, &buf).is_some(), has_pclmulqdq());
+        if let Some(crc) = hardware(0xFFFF_FFFF, &buf) {
+            assert_eq!(crc32_update(0xFFFF_FFFF, &buf), crc);
+        }
+        assert_eq!(hardware(0xFFFF_FFFF, &buf[..63]), None, "below the kernel's minimum");
     }
 
     #[test]

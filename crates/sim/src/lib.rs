@@ -17,6 +17,7 @@
 //! definitions via [`diff_index_core::IndexScheme`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod engine;

@@ -4,6 +4,8 @@
 //! We deliberately avoid pulling in the `tempfile` crate: the only thing the
 //! workspace needs is "give me a fresh directory and delete it on drop".
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 

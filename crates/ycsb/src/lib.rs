@@ -7,6 +7,7 @@
 //! log-bucketed latency histograms.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod generator;

@@ -11,8 +11,16 @@
 //!   decoding.
 //! * [`BytesMut`] — growable buffer that freezes into a `Bytes`.
 //! * [`BufMut`] — the small write-primitive trait (`put_u8` & friends).
+//!
+//! One behavioural difference: `From<Vec<u8>>`, `From<Box<[u8]>>`,
+//! `From<String>` and [`BytesMut::freeze`] **copy** the buffer into a new
+//! `Arc<[u8]>` allocation (the reference count has to live in front of the
+//! bytes), where upstream `bytes` takes ownership without copying. Code
+//! that has the bytes in a reusable buffer should call
+//! [`Bytes::copy_from_slice`] once instead of building a `Vec` to convert.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -198,6 +206,7 @@ impl fmt::Debug for Bytes {
     }
 }
 
+/// Copies `v` into a new allocation (upstream `bytes` does not copy).
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         if v.is_empty() {
@@ -208,6 +217,7 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// Copies `v` into a new allocation (upstream `bytes` does not copy).
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
         let len = v.len();
@@ -218,6 +228,7 @@ impl From<Box<[u8]>> for Bytes {
     }
 }
 
+/// Copies `s` into a new allocation (upstream `bytes` does not copy).
 impl From<String> for Bytes {
     fn from(s: String) -> Self {
         Bytes::from(s.into_bytes())
@@ -296,7 +307,8 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Convert into an immutable [`Bytes`] without copying.
+    /// Convert into an immutable [`Bytes`]. Copies the buffer into a new
+    /// allocation, unlike upstream `bytes`.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
     }

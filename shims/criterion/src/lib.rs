@@ -13,6 +13,7 @@
 //! results.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};

@@ -7,6 +7,7 @@
 //! waits on a `&mut MutexGuard`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

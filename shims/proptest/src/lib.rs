@@ -14,6 +14,7 @@
 //! - `.proptest-regressions` files are ignored.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::RngExt;

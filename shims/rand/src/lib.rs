@@ -9,6 +9,7 @@
 //! secure.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Construction of generators from seeds, mirroring `rand::SeedableRng`.
 pub trait SeedableRng: Sized {

@@ -13,6 +13,9 @@
 //! * [`ycsb`] — the extended YCSB workload generator.
 //! * [`net`] — the TCP wire protocol, region-server frontend, and remote
 //!   store client.
+
+#![forbid(unsafe_code)]
+
 pub use diff_index_btree as btree;
 pub use diff_index_cluster as cluster;
 pub use diff_index_core as core;
