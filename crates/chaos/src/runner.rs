@@ -441,17 +441,9 @@ fn run_op(
             let old = truth.get(row).copied();
             let res = store.put(BASE_TABLE, &row_key(*row), &[(col, value_bytes(*value))]);
             session_rows.remove(row);
-            if fault_free {
-                match res {
-                    Ok(_) => {
-                        truth.insert(*row, *value);
-                        inline_read_check(env, truth, &[old, Some(*value)], violations);
-                    }
-                    Err(e) => violations.push(Violation {
-                        check: "fault-free",
-                        detail: format!("put(row{row:02}) failed with no fault injected: {e}"),
-                    }),
-                }
+            if acked_fault_free(&res, fault_free, format_args!("put(row{row:02})"), violations) {
+                truth.insert(*row, *value);
+                inline_read_check(env, truth, &[old, Some(*value)], violations);
             }
         }
         StepOp::PutBatch { rows } => {
@@ -460,42 +452,25 @@ fn run_op(
                 .map(|(r, v)| (row_key(*r), vec![(col.clone(), value_bytes(*v))]))
                 .collect();
             let res = store.put_batch(BASE_TABLE, &batch);
-            let mut affected: Vec<Option<u8>> = Vec::new();
-            for (r, v) in rows {
+            for (r, _) in rows {
                 session_rows.remove(r);
-                if fault_free {
-                    affected.push(truth.get(r).copied());
+            }
+            if acked_fault_free(&res, fault_free, format_args!("put_batch"), violations) {
+                let mut affected: Vec<Option<u8>> = Vec::new();
+                for (r, v) in rows {
+                    affected.push(truth.insert(*r, *v));
                     affected.push(Some(*v));
                 }
-                if fault_free && res.is_ok() {
-                    truth.insert(*r, *v);
-                }
-            }
-            if fault_free {
-                match res {
-                    Ok(_) => inline_read_check(env, truth, &affected, violations),
-                    Err(e) => violations.push(Violation {
-                        check: "fault-free",
-                        detail: format!("put_batch failed with no fault injected: {e}"),
-                    }),
-                }
+                inline_read_check(env, truth, &affected, violations);
             }
         }
         StepOp::Delete { row } => {
             let old = truth.get(row).copied();
             let res = store.delete(BASE_TABLE, &row_key(*row), &[col]);
             session_rows.remove(row);
-            if fault_free {
-                match res {
-                    Ok(_) => {
-                        truth.remove(row);
-                        inline_read_check(env, truth, &[old], violations);
-                    }
-                    Err(e) => violations.push(Violation {
-                        check: "fault-free",
-                        detail: format!("delete(row{row:02}) failed with no fault injected: {e}"),
-                    }),
-                }
+            if acked_fault_free(&res, fault_free, format_args!("delete(row{row:02})"), violations) {
+                truth.remove(row);
+                inline_read_check(env, truth, &[old], violations);
             }
         }
         StepOp::SessionPut { row, value } => {
@@ -516,19 +491,10 @@ fn run_op(
                     session_rows.remove(row);
                 }
             }
-            if fault_free {
-                match res {
-                    Ok(_) => {
-                        truth.insert(*row, *value);
-                        inline_read_check(env, truth, &[old, Some(*value)], violations);
-                    }
-                    Err(e) => violations.push(Violation {
-                        check: "fault-free",
-                        detail: format!(
-                            "session put(row{row:02}) failed with no fault injected: {e}"
-                        ),
-                    }),
-                }
+            let what = format_args!("session put(row{row:02})");
+            if acked_fault_free(&res, fault_free, what, violations) {
+                truth.insert(*row, *value);
+                inline_read_check(env, truth, &[old, Some(*value)], violations);
             }
         }
         StepOp::IndexRead { value } => {
@@ -536,32 +502,24 @@ fn run_op(
         }
         StepOp::SessionRead { value } => match session {
             Some(s) => {
-                match s.get_by_index(BASE_TABLE, INDEX_NAME, &value_bytes(*value), usize::MAX) {
-                    Ok(hits) => {
-                        // Read-your-writes: every row whose *latest* write
-                        // was this session's put of `value` must be seen,
-                        // no matter how far the AUQ lags.
-                        for (row, v) in session_rows.iter() {
-                            if v == value && !hits.iter().any(|h| h.row == row_key(*row)) {
-                                violations.push(Violation {
-                                    check: "session-ryw",
-                                    detail: format!(
-                                        "session read of {:?} missed its own write to row{row:02}",
-                                        value_bytes(*value)
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if fault_free {
+                let res = s.get_by_index(BASE_TABLE, INDEX_NAME, &value_bytes(*value), usize::MAX);
+                if let Ok(hits) = &res {
+                    // Read-your-writes: every row whose *latest* write
+                    // was this session's put of `value` must be seen,
+                    // no matter how far the AUQ lags.
+                    for (row, v) in session_rows.iter() {
+                        if v == value && !hits.iter().any(|h| h.row == row_key(*row)) {
                             violations.push(Violation {
-                                check: "fault-free",
-                                detail: format!("session read failed with no fault injected: {e}"),
+                                check: "session-ryw",
+                                detail: format!(
+                                    "session read of {:?} missed its own write to row{row:02}",
+                                    value_bytes(*value)
+                                ),
                             });
                         }
                     }
                 }
+                acked_fault_free(&res, fault_free, format_args!("session read"), violations);
             }
             None => index_read(env, truth, *value, fault_free, violations),
         },
@@ -574,14 +532,7 @@ fn run_op(
                 true,
                 usize::MAX,
             );
-            if fault_free {
-                if let Err(e) = res {
-                    violations.push(Violation {
-                        check: "fault-free",
-                        detail: format!("range read failed with no fault injected: {e}"),
-                    });
-                }
-            }
+            acked_fault_free(&res, fault_free, format_args!("range read"), violations);
         }
         StepOp::Flush => {
             let index_table = match env.di.index(BASE_TABLE, INDEX_NAME) {
@@ -589,14 +540,7 @@ fn run_op(
                 Err(_) => return,
             };
             let res = store.flush_table(BASE_TABLE).and_then(|_| store.flush_table(&index_table));
-            if fault_free {
-                if let Err(e) = res {
-                    violations.push(Violation {
-                        check: "fault-free",
-                        detail: format!("flush failed with no fault injected: {e}"),
-                    });
-                }
-            }
+            acked_fault_free(&res, fault_free, format_args!("flush"), violations);
         }
         StepOp::Compact => {
             let index_table = match env.di.index(BASE_TABLE, INDEX_NAME) {
@@ -607,14 +551,31 @@ fn run_op(
                 .cluster
                 .compact_table(BASE_TABLE)
                 .and_then(|_| env.cluster.compact_table(&index_table));
-            if fault_free {
-                if let Err(e) = res {
-                    violations.push(Violation {
-                        check: "fault-free",
-                        detail: format!("compact failed with no fault injected: {e}"),
-                    });
-                }
-            }
+            acked_fault_free(&res, fault_free, format_args!("compact"), violations);
+        }
+    }
+}
+
+/// On a fault-free seed every op must succeed. Returns true when `res` is
+/// such a success; a failure there pushes a `fault-free` violation naming
+/// `what`. On a faulted seed nothing is checked and the result is false.
+fn acked_fault_free<T, E: std::fmt::Display>(
+    res: &Result<T, E>,
+    fault_free: bool,
+    what: std::fmt::Arguments<'_>,
+    violations: &mut Vec<Violation>,
+) -> bool {
+    if !fault_free {
+        return false;
+    }
+    match res {
+        Ok(_) => true,
+        Err(e) => {
+            violations.push(Violation {
+                check: "fault-free",
+                detail: format!("{what} failed with no fault injected: {e}"),
+            });
+            false
         }
     }
 }

@@ -30,7 +30,7 @@ use crate::cluster::{Cluster, WeakCluster};
 use crate::keyspace::ServerId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -66,22 +66,25 @@ impl Default for HealthOptions {
     }
 }
 
-/// Counters describing detector activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HealthMetrics {
-    /// Individual liveness probes issued.
-    pub probes: u64,
-    /// Transitions into `Suspect`.
-    pub suspicions: u64,
-    /// Transitions into `Dead` (death declarations).
-    pub deaths: u64,
-    /// Automatic `Cluster::recover()` runs that completed.
-    pub auto_recoveries: u64,
-    /// Automatic recoveries that failed (e.g. no surviving servers) and
-    /// will be retried on the next tick.
-    pub failed_recoveries: u64,
-    /// Transitions from `Suspect`/`Dead` back to `Healthy` (rejoins).
-    pub rejoins: u64,
+diff_index_lsm::counters! {
+    /// Live detector counters, bumped by [`HealthMonitor::tick`].
+    struct HealthCounters;
+    /// Counters describing detector activity.
+    pub struct HealthMetrics {
+        /// Individual liveness probes issued.
+        probes,
+        /// Transitions into `Suspect`.
+        suspicions,
+        /// Transitions into `Dead` (death declarations).
+        deaths,
+        /// Automatic `Cluster::recover()` runs that completed.
+        auto_recoveries,
+        /// Automatic recoveries that failed (e.g. no surviving servers) and
+        /// will be retried on the next tick.
+        failed_recoveries,
+        /// Transitions from `Suspect`/`Dead` back to `Healthy` (rejoins).
+        rejoins,
+    }
 }
 
 struct Track {
@@ -92,16 +95,6 @@ struct Track {
     recovered: bool,
 }
 
-#[derive(Default)]
-struct Counters {
-    probes: AtomicU64,
-    suspicions: AtomicU64,
-    deaths: AtomicU64,
-    auto_recoveries: AtomicU64,
-    failed_recoveries: AtomicU64,
-    rejoins: AtomicU64,
-}
-
 type Probe = dyn Fn(ServerId) -> bool + Send + Sync;
 
 /// The master's failure detector + auto-recovery driver.
@@ -110,7 +103,7 @@ pub struct HealthMonitor {
     opts: HealthOptions,
     probe: Mutex<Option<Box<Probe>>>,
     tracks: Mutex<BTreeMap<ServerId, Track>>,
-    counters: Counters,
+    counters: HealthCounters,
     shutdown: AtomicBool,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -125,7 +118,7 @@ impl HealthMonitor {
             opts,
             probe: Mutex::new(None),
             tracks: Mutex::new(BTreeMap::new()),
-            counters: Counters::default(),
+            counters: HealthCounters::default(),
             shutdown: AtomicBool::new(false),
             thread: Mutex::new(None),
         })
@@ -232,14 +225,7 @@ impl HealthMonitor {
 
     /// Detector activity counters.
     pub fn metrics(&self) -> HealthMetrics {
-        HealthMetrics {
-            probes: self.counters.probes.load(Ordering::Relaxed),
-            suspicions: self.counters.suspicions.load(Ordering::Relaxed),
-            deaths: self.counters.deaths.load(Ordering::Relaxed),
-            auto_recoveries: self.counters.auto_recoveries.load(Ordering::Relaxed),
-            failed_recoveries: self.counters.failed_recoveries.load(Ordering::Relaxed),
-            rejoins: self.counters.rejoins.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Spawn the background probe thread (idempotent). The thread ticks
@@ -273,10 +259,7 @@ impl HealthMonitor {
 
 impl Drop for HealthMonitor {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.thread.lock().take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! Every SSTable block carries a CRC-32 that is verified on decode
 //! (`crates/lsm`); this test proves the verification survives the trip up
-//! the stack: a bit flipped in a flushed block turns reads of that region
-//! into `ClusterError::Storage(LsmError::Corruption)`, classified
+//! the stack: a bit flipped in a flushed block turns reads and scans of
+//! that region into `ClusterError::Storage(LsmError::Corruption)`, classified
 //! non-retryable (resending the request cannot help), while the write path
 //! (WAL + memtable) stays available.
 
@@ -68,6 +68,13 @@ fn flipped_block_bit_surfaces_as_typed_corruption() {
         }
     }
     assert!(corrupt_reads > 0);
+
+    // A scan over the damaged regions must fail the same way rather than
+    // return the rows of the undamaged blocks as if they were all there.
+    match cluster.scan_rows("t", b"", None, u64::MAX, usize::MAX) {
+        Err(ClusterError::Storage(LsmError::Corruption(_))) => {}
+        other => panic!("scan over a corrupted block must report corruption: {other:?}"),
+    }
 
     // The write path does not touch the damaged blocks: new writes (WAL +
     // memtable) still ack, so the region is degraded, not bricked.

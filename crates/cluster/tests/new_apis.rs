@@ -98,10 +98,10 @@ fn region_specs_cover_the_keyspace_in_order() {
 fn rpc_counter_grows_with_fanout() {
     let (_d, c) = cluster(2);
     c.create_table("t", 8).unwrap();
-    let before = c.rpc_count();
+    let before = c.dispatch_metrics().total();
     c.put("t", b"r", &[(b("c"), b("v"))]).unwrap(); // 1 region op
-    let after_put = c.rpc_count();
+    let after_put = c.dispatch_metrics().total();
     assert_eq!(after_put - before, 1);
     c.scan_rows("t", b"", None, u64::MAX, 100).unwrap(); // fans out to all 8
-    assert_eq!(c.rpc_count() - after_put, 8);
+    assert_eq!(c.dispatch_metrics().total() - after_put, 8);
 }

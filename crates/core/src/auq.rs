@@ -22,7 +22,7 @@ use diff_index_cluster::{Cluster, ColumnValue, WeakCluster};
 use diff_index_lsm::DELTA;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,6 +75,12 @@ struct State {
     /// open for WAL-replay re-enqueues; the whole backlog drains against
     /// the regions' new owners on release.
     held: bool,
+    /// Chaos-testing switch: while set, the APS worker stops pulling tasks
+    /// (the queue keeps accepting), simulating a wedged processing service.
+    /// A flush's `pause_and_drain` overrides the stall — the drain contract
+    /// (`PR(Flushed) = ∅`, Figure 5) must hold even mid-chaos, or the base
+    /// flush would deadlock behind an injected fault.
+    stalled: bool,
 }
 
 /// Cumulative AUQ counters plus staleness (index-after-data time-lag)
@@ -127,12 +133,6 @@ pub struct Auq {
     cluster: WeakCluster,
     spec: Arc<IndexSpec>,
     metrics: Arc<AuqMetrics>,
-    /// Chaos-testing switch: while set, the APS worker stops pulling tasks
-    /// (the queue keeps accepting), simulating a wedged processing service.
-    /// A flush's `pause_and_drain` overrides the stall — the drain contract
-    /// (`PR(Flushed) = ∅`, Figure 5) must hold even mid-chaos, or the base
-    /// flush would deadlock behind an injected fault.
-    stalled: AtomicBool,
 }
 
 impl std::fmt::Debug for Auq {
@@ -157,12 +157,12 @@ impl Auq {
                 in_flight: 0,
                 shutdown: false,
                 held: false,
+                stalled: false,
             }),
             cv: Condvar::new(),
             cluster,
             spec,
             metrics: Arc::new(AuqMetrics::default()),
-            stalled: AtomicBool::new(false),
         });
         let worker = Arc::clone(&auq);
         std::thread::Builder::new()
@@ -231,14 +231,14 @@ impl Auq {
     /// so the drain-before-flush protocol cannot deadlock. A harness MUST
     /// clear the stall before calling [`Auq::wait_idle`] or quiescing.
     pub fn set_stalled(&self, stalled: bool) {
-        self.stalled.store(stalled, Ordering::SeqCst);
-        let _s = self.state.lock();
+        let mut s = self.state.lock();
+        s.stalled = stalled;
         self.cv.notify_all();
     }
 
     /// True while [`Auq::set_stalled`] has the worker wedged.
     pub fn is_stalled(&self) -> bool {
-        self.stalled.load(Ordering::SeqCst)
+        self.state.lock().stalled
     }
 
     /// Open a §5.3 recovery window: wedge the worker (queued tasks would
@@ -299,8 +299,7 @@ impl Auq {
                     // An injected stall or a recovery hold wedges the
                     // worker — unless a flush drain is waiting (paused),
                     // which takes precedence.
-                    let wedged =
-                        (self.stalled.load(Ordering::SeqCst) || s.held) && !s.paused;
+                    let wedged = (s.stalled || s.held) && !s.paused;
                     if !wedged {
                         if let Some(t) = s.queue.pop_front() {
                             s.in_flight += 1;

@@ -482,6 +482,71 @@ fn two_indexes_different_schemes_coexist() {
 }
 
 #[test]
+fn put_batch_maintains_two_indexes_across_regions() {
+    use diff_index_cluster::DispatchSnapshot;
+    use diff_index_core::verify_index;
+    use std::collections::BTreeMap;
+
+    let (_d, cluster, di) = setup(IndexScheme::SyncFull);
+    di.create_index(IndexSpec::single("color", "item", "item_color", IndexScheme::AsyncSimple), 4)
+        .unwrap();
+    // Row keys from '0' to 'z' spread over several of the four regions.
+    let rows: Vec<String> = (0..16u8).map(|i| format!("{}-row", char::from(b'0' + i * 5))).collect();
+    let servers: std::collections::BTreeSet<_> =
+        rows.iter().map(|r| cluster.server_for_row("item", r.as_bytes()).unwrap()).collect();
+    assert_eq!(servers.len(), 2, "the batch must span regions on both servers");
+    let batch = |rows: &[String], title: &str, color: &str| -> Vec<(Bytes, Vec<(Bytes, Bytes)>)> {
+        rows.iter()
+            .map(|r| {
+                let cols = vec![(b("item_title"), b(title)), (b("item_color"), b(color))];
+                (b(r), cols)
+            })
+            .collect()
+    };
+    let mut model: BTreeMap<String, (&str, &str)> = BTreeMap::new();
+    for (chunk, (title, color)) in rows.chunks(4).zip([("t0", "c0"), ("t1", "c1")].iter().cycle()) {
+        cluster.put_batch("item", &batch(chunk, title, color)).unwrap();
+        model.extend(chunk.iter().map(|r| (r.clone(), (*title, *color))));
+    }
+
+    // Drain, then hold the async index's worker so only sync-full
+    // maintenance runs while the dispatch counters are measured.
+    di.quiesce("item");
+    let color_auq = std::sync::Arc::clone(di.index("item", "color").unwrap().auq());
+    color_auq.set_stalled(true);
+    let before = cluster.dispatch_metrics();
+    cluster.put_batch("item", &batch(&rows[15..], "t2", "c2")).unwrap();
+    let one = cluster.dispatch_metrics() - before;
+    let half = &rows[..8];
+    let before = cluster.dispatch_metrics();
+    cluster.put_batch("item", &batch(half, "t3", "c3")).unwrap();
+    let n = cluster.dispatch_metrics() - before;
+    assert_eq!(one.puts, 1);
+    assert!(one.index_ops() > 0, "a sync-full update costs index RPCs: {one:?}");
+    assert_eq!(n, (0..half.len()).fold(DispatchSnapshot::default(), |acc, _| acc + one));
+    color_auq.set_stalled(false);
+    model.insert(rows[15].clone(), ("t2", "c2"));
+    model.extend(half.iter().map(|r| (r.clone(), ("t3", "c3"))));
+
+    di.quiesce("item");
+    for name in ["title", "color"] {
+        let spec = di.index("item", name).unwrap().spec.clone();
+        let report = verify_index(&cluster, &spec).unwrap();
+        assert!(report.is_clean(), "{name}: {report:?}");
+    }
+    for value in ["t0", "t1", "t2", "t3", "c0", "c1", "c2", "c3"] {
+        let index = if value.starts_with('t') { "title" } else { "color" };
+        let want: Vec<String> = model
+            .iter()
+            .filter(|(_, (t, c))| *t == value || *c == value)
+            .map(|(r, _)| r.clone())
+            .collect();
+        let hits = di.get_by_index("item", index, value.as_bytes(), 100).unwrap();
+        assert_eq!(rows_of(&hits), want, "{index} = {value}");
+    }
+}
+
+#[test]
 fn table2_io_costs_match_measured_counters() {
     // Measure (Base Put, Base Read, Index Put, Index Read) around one index
     // update and one index read, per scheme, and compare with the analytic

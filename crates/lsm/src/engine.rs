@@ -49,6 +49,7 @@ use crate::types::{Cell, CellKind, InternalKey, LsmError, Result, Timestamp, Ver
 use crate::wal::{replay, WalWriter};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -178,6 +179,22 @@ impl std::fmt::Debug for LsmTree {
 
 fn wal_path(dir: &Path, no: u64) -> PathBuf {
     dir.join(format!("wal-{no:010}.log"))
+}
+
+/// `table`'s cells from `seek` on, for a merge. A block that cannot be
+/// read ends the stream and parks its error in `failed` (the first one
+/// wins); the caller must check it once the merge is consumed.
+fn table_cells<'a>(
+    table: &'a Table,
+    seek: Option<&InternalKey>,
+    failed: &'a RefCell<Option<LsmError>>,
+) -> impl Iterator<Item = Cell> + 'a {
+    table.iter_from(seek).map_while(move |cell| {
+        cell.map_err(|e| {
+            failed.borrow_mut().get_or_insert(e);
+        })
+        .ok()
+    })
 }
 
 fn table_path(dir: &Path, no: u64) -> PathBuf {
@@ -545,6 +562,7 @@ impl LsmTree {
         let seek = InternalKey::seek_to(Bytes::copy_from_slice(start), Timestamp::MAX);
         let end_owned: Option<Bytes> = end.map(Bytes::copy_from_slice);
 
+        let failed = RefCell::new(None);
         let active_guard = snap.active.read();
         let frozen_guards: Vec<_> = snap.frozen.iter().map(|m| m.read()).collect();
         let mut sources: Vec<Box<dyn Iterator<Item = Cell> + '_>> = Vec::new();
@@ -554,20 +572,24 @@ impl LsmTree {
         }
         for table in &snap.tables {
             let end_for_table = end_owned.clone();
-            let it = table
-                .iter_from(Some(&seek))
-                .take_while(move |c| match &end_for_table {
+            let it = table_cells(table, Some(&seek), &failed).take_while(move |c| {
+                match &end_for_table {
                     Some(e) => c.key.user_key < *e,
                     None => true,
-                });
+                }
+            });
             sources.push(Box::new(it));
         }
         let merged = MergeIter::new(sources);
         let visible = VisibleIter::new(merged, ts);
-        Ok(visible
+        let rows = visible
             .take(limit)
             .map(|c| (c.key.user_key, VersionedValue { value: c.value, ts: c.key.ts }))
-            .collect())
+            .collect();
+        match failed.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(rows),
+        }
     }
 
     // -- maintenance ---------------------------------------------------------
@@ -736,13 +758,22 @@ impl LsmTree {
             no
         };
         let path = table_path(&self.dir, file_no);
+        let failed = RefCell::new(None);
         let sources: Vec<Box<dyn Iterator<Item = Cell> + '_>> =
-            tables.iter().map(|t| Box::new(t.iter_from(None)) as _).collect();
+            tables.iter().map(|t| Box::new(table_cells(t, None, &failed)) as _).collect();
         let merged = MergeIter::new(sources);
         let mut gc = gc_merge(merged, policy);
         let mut builder = TableBuilder::create(&path, self.opts.table.clone())?;
         for cell in gc.by_ref() {
             builder.add(&cell)?;
+        }
+        // An unreadable input block ended its table early: publishing the
+        // output would drop those cells, and deleting the inputs would lose
+        // them for good. Fail with the inputs untouched.
+        if let Some(e) = failed.take() {
+            drop(builder);
+            let _ = std::fs::remove_file(&path);
+            return Err(e);
         }
         let stats = gc.stats();
         Metrics::add(
@@ -809,14 +840,6 @@ impl LsmTree {
     /// Number of on-disk tables.
     pub fn table_count(&self) -> usize {
         self.snapshot().tables.len()
-    }
-
-    /// Approximate bytes across the active and frozen memtables.
-    pub fn memtable_bytes(&self) -> usize {
-        let snap = self.snapshot();
-        let active = snap.active.read().approximate_bytes();
-        let frozen: usize = snap.frozen.iter().map(|m| m.read().approximate_bytes()).sum();
-        active + frozen
     }
 
     /// Number of cells across the active and frozen memtables.
@@ -1333,6 +1356,42 @@ mod tests {
         );
         assert!(m.mean_group_commit() > 1.0, "mean group = {}", m.mean_group_commit());
         assert!(m.puts_per_fsync() > 1.0, "puts/fsync = {}", m.puts_per_fsync());
+    }
+
+    #[test]
+    fn corrupt_block_fails_scan_and_compaction_keeps_inputs() {
+        let dir = TempDir::new("lsm").unwrap();
+        let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+        for (prefix, ts) in [("a", 10), ("b", 30)] {
+            for i in 0..10 {
+                db.put(format!("{prefix}{i:02}"), ts + i, "v").unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let mut ssts: Vec<PathBuf> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "sst"))
+            .collect();
+        ssts.sort();
+        assert_eq!(ssts.len(), 2);
+        // Flip one bit in the first data block of the older table.
+        let mut bytes = std::fs::read(&ssts[0]).unwrap();
+        bytes[0] ^= 0x01;
+        std::fs::write(&ssts[0], &bytes).unwrap();
+
+        assert!(matches!(db.get(b"a00", u64::MAX), Err(LsmError::Corruption(_))));
+        assert!(
+            matches!(db.scan(b"", None, u64::MAX, usize::MAX), Err(LsmError::Corruption(_))),
+            "a scan must not silently skip the damaged table's rows"
+        );
+        assert!(matches!(db.compact(), Err(LsmError::Corruption(_))));
+        for p in &ssts {
+            assert!(p.exists(), "failed compaction deleted its input {}", p.display());
+        }
+        assert_eq!(db.table_count(), 2, "nothing published");
+        assert!(matches!(db.get(b"a00", u64::MAX), Err(LsmError::Corruption(_))));
+        assert_eq!(db.get(b"b00", u64::MAX).unwrap().unwrap().ts, 30);
     }
 }
 

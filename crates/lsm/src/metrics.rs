@@ -7,88 +7,123 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Declares a set of `u64` counters as two types: a live one whose fields
+/// are `AtomicU64`s bumped lock-free, and a `Copy` snapshot of it taken by
+/// the live type's `snapshot()`. Snapshots add and subtract field by field
+/// (wrapping), so `after - before` is the delta over an interval.
+///
+/// Both type names are parameters, each with its own doc comment and
+/// visibility; every counter's doc comment is copied onto both types.
+///
+/// ```
+/// diff_index_lsm::counters! {
+///     /// Live request counters.
+///     pub struct Requests;
+///     /// A point-in-time copy of [`Requests`].
+///     pub struct RequestsSnapshot {
+///         /// Requests served.
+///         served,
+///     }
+/// }
+/// let live = Requests::default();
+/// live.served.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+/// assert_eq!((live.snapshot() - RequestsSnapshot::default()).served, 2);
+/// ```
+#[macro_export]
 macro_rules! counters {
-    ($($(#[$sm:meta])+ $name:ident),+ $(,)?) => {
-        /// Cumulative engine counters. All methods are lock-free.
+    (
+        $(#[$lm:meta])* $lvis:vis struct $live:ident;
+        $(#[$sm:meta])* $svis:vis struct $snap:ident {
+            $($(#[$fm:meta])+ $name:ident),+ $(,)?
+        }
+    ) => {
+        $(#[$lm])*
         #[derive(Debug, Default)]
-        pub struct Metrics {
-            $($(#[$sm])+ pub $name: AtomicU64,)+
+        $lvis struct $live {
+            $($(#[$fm])+ pub $name: ::std::sync::atomic::AtomicU64,)+
         }
 
-        impl Metrics {
-            /// Fresh zeroed counters.
-            pub fn new() -> Self { Self::default() }
-
+        impl $live {
             /// Snapshot all counters at once.
-            pub fn snapshot(&self) -> MetricsSnapshot {
-                MetricsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            pub fn snapshot(&self) -> $snap {
+                $snap { $($name: self.$name.load(::std::sync::atomic::Ordering::Relaxed),)+ }
             }
         }
 
-        /// Point-in-time copy of [`Metrics`]; subtract two snapshots to get
-        /// per-interval deltas.
+        $(#[$sm])*
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct MetricsSnapshot {
-            $($(#[$sm])+ pub $name: u64,)+
+        $svis struct $snap {
+            $($(#[$fm])+ pub $name: u64,)+
         }
 
-        impl std::ops::Sub for MetricsSnapshot {
-            type Output = MetricsSnapshot;
-            fn sub(self, rhs: MetricsSnapshot) -> MetricsSnapshot {
-                MetricsSnapshot { $($name: self.$name.wrapping_sub(rhs.$name),)+ }
+        impl ::std::ops::Sub for $snap {
+            type Output = $snap;
+            fn sub(self, rhs: $snap) -> $snap {
+                $snap { $($name: self.$name.wrapping_sub(rhs.$name),)+ }
             }
         }
 
-        impl std::ops::Add for MetricsSnapshot {
-            type Output = MetricsSnapshot;
-            fn add(self, rhs: MetricsSnapshot) -> MetricsSnapshot {
-                MetricsSnapshot { $($name: self.$name.wrapping_add(rhs.$name),)+ }
+        impl ::std::ops::Add for $snap {
+            type Output = $snap;
+            fn add(self, rhs: $snap) -> $snap {
+                $snap { $($name: self.$name.wrapping_add(rhs.$name),)+ }
             }
         }
     };
 }
 
 counters! {
-    /// Cells written via `put` (tombstones excluded).
-    puts,
-    /// Tombstones written via `delete`.
-    deletes,
-    /// Point reads (`get` / `get_versioned`).
-    gets,
-    /// Range scans started.
-    scans,
-    /// WAL record appends.
-    wal_appends,
-    /// WAL fsyncs (group commits + segment rolls). With group commit many
-    /// appends share one fsync, so `wal_appends / wal_fsyncs` is the
-    /// effective commit batch size.
-    wal_fsyncs,
-    /// WAL records made durable by group-commit fsyncs; divided by
-    /// `wal_fsyncs` this is the mean group-commit batch size.
-    group_commit_records,
-    /// Memtable flushes completed.
-    flushes,
-    /// Compactions completed.
-    compactions,
-    /// Bytes written to SSTables by flushes.
-    bytes_flushed,
-    /// Bytes written to SSTables by compactions.
-    bytes_compacted,
-    /// SSTables consulted by point reads (read amplification numerator).
-    tables_probed,
-    /// SSTable probes skipped thanks to bloom filters / key ranges.
-    tables_skipped,
-    /// Cells dropped by compaction garbage collection.
-    gc_dropped_cells,
-    /// Data-block reads served from the block cache.
-    block_cache_hits,
-    /// Data-block reads that had to hit disk and decode.
-    block_cache_misses,
-    /// Blocks evicted from the cache to stay within its byte budget.
-    block_cache_evictions,
+    /// Cumulative engine counters. All methods are lock-free.
+    pub struct Metrics;
+    /// Point-in-time copy of [`Metrics`]; subtract two snapshots to get
+    /// per-interval deltas.
+    pub struct MetricsSnapshot {
+        /// Cells written via `put` (tombstones excluded).
+        puts,
+        /// Tombstones written via `delete`.
+        deletes,
+        /// Point reads (`get` / `get_versioned`).
+        gets,
+        /// Range scans started.
+        scans,
+        /// WAL record appends.
+        wal_appends,
+        /// WAL fsyncs (group commits + segment rolls). With group commit many
+        /// appends share one fsync, so `wal_appends / wal_fsyncs` is the
+        /// effective commit batch size.
+        wal_fsyncs,
+        /// WAL records made durable by group-commit fsyncs; divided by
+        /// `wal_fsyncs` this is the mean group-commit batch size.
+        group_commit_records,
+        /// Memtable flushes completed.
+        flushes,
+        /// Compactions completed.
+        compactions,
+        /// Bytes written to SSTables by flushes.
+        bytes_flushed,
+        /// Bytes written to SSTables by compactions.
+        bytes_compacted,
+        /// SSTables consulted by point reads (read amplification numerator).
+        tables_probed,
+        /// SSTable probes skipped thanks to bloom filters / key ranges.
+        tables_skipped,
+        /// Cells dropped by compaction garbage collection.
+        gc_dropped_cells,
+        /// Data-block reads served from the block cache.
+        block_cache_hits,
+        /// Data-block reads that had to hit disk and decode.
+        block_cache_misses,
+        /// Blocks evicted from the cache to stay within its byte budget.
+        block_cache_evictions,
+    }
 }
 
 impl Metrics {
+    /// Fresh zeroed counters.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Increment a counter by 1.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);

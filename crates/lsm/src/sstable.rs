@@ -765,6 +765,8 @@ impl Table {
 
 /// Forward iterator over a table's cells in internal-key order. Holds one
 /// decoded [`Block`] at a time; yielded cells are zero-copy slices of it.
+/// A block that cannot be read (I/O error, failed checksum) is yielded as
+/// one `Err` item, after which the iterator is exhausted.
 pub struct TableIter<'a> {
     table: &'a Table,
     block: usize,
@@ -775,7 +777,7 @@ pub struct TableIter<'a> {
 
 impl<'a> TableIter<'a> {
     fn load_block(&mut self) -> bool {
-        while self.data.is_none() {
+        if self.data.is_none() {
             if self.block >= self.table.index.len() {
                 return false;
             }
@@ -786,6 +788,7 @@ impl<'a> TableIter<'a> {
                 }
                 Err(e) => {
                     self.error = Some(e);
+                    self.block = self.table.index.len();
                     return false;
                 }
             }
@@ -808,26 +811,21 @@ impl<'a> TableIter<'a> {
             self.block += 1;
         }
     }
-
-    /// An I/O or corruption error encountered during iteration, if any.
-    pub fn take_error(&mut self) -> Option<LsmError> {
-        self.error.take()
-    }
 }
 
 impl<'a> Iterator for TableIter<'a> {
-    type Item = Cell;
+    type Item = Result<Cell>;
 
-    fn next(&mut self) -> Option<Cell> {
+    fn next(&mut self) -> Option<Result<Cell>> {
         loop {
             if !self.load_block() {
-                return None;
+                return self.error.take().map(Err);
             }
             let block = self.data.as_ref().unwrap();
             if self.pos < block.len() {
                 let c = block.cell(self.pos);
                 self.pos += 1;
-                return Some(c);
+                return Some(Ok(c));
             }
             self.data = None;
             self.block += 1;
@@ -914,7 +912,7 @@ mod tests {
         let dir = TempDir::new("sst").unwrap();
         let cells = many_cells(500);
         let t = build_table(&dir, &cells, TableOptions { block_size: 256, bloom_bits_per_key: 10 });
-        let got: Vec<Cell> = t.iter_from(None).collect();
+        let got: Vec<Cell> = t.iter_from(None).collect::<Result<_>>().unwrap();
         assert_eq!(got, cells);
     }
 
@@ -924,7 +922,7 @@ mod tests {
         let cells = many_cells(100);
         let t = build_table(&dir, &cells, TableOptions { block_size: 64, bloom_bits_per_key: 10 });
         let seek = InternalKey::seek_to(Bytes::from("key000050"), u64::MAX);
-        let got: Vec<Cell> = t.iter_from(Some(&seek)).collect();
+        let got: Vec<Cell> = t.iter_from(Some(&seek)).collect::<Result<_>>().unwrap();
         assert_eq!(got.len(), 50);
         assert_eq!(got[0].key.user_key, Bytes::from("key000050"));
     }
