@@ -35,20 +35,18 @@ fn clean_seeds_pass() {
     }
 }
 
-#[test]
-fn violated_delta_is_caught_deterministically() {
-    // Sabotage §4.3: SU3/SU4 read the pre-image at ts instead of ts−δ, so
-    // old == new and the old index entry is never deleted. Seed 1 under
-    // sync-full is fault-free (no RepairAll to legitimately clean up), so
-    // the stale entries survive to the end-of-run checks.
+/// Sabotage §4.3 under `scheme` on seed 1 and require the checkers to
+/// catch it, the same way on replay, with the clean run passing.
+fn violated_delta_is_caught(scheme: IndexScheme) {
     let clean = RunOptions { force_mode: Some(Mode::Net), ..RunOptions::default() };
     let sabotage = RunOptions { violate_delta: true, ..clean.clone() };
-    let first = run_seed(1, IndexScheme::SyncFull, &sabotage);
-    let second = run_seed(1, IndexScheme::SyncFull, &sabotage);
+    let first = run_seed(1, scheme, &sabotage);
+    let second = run_seed(1, scheme, &sabotage);
 
     assert!(
         !first.passed(),
-        "sabotaged §4.3 not caught — the checkers are blind to stale entries"
+        "sabotaged §4.3 not caught under {} — the checkers are blind to stale entries",
+        scheme.short_name()
     );
     // Deterministic replay: same seed → the same checkers fire on the same
     // scenario shape.
@@ -59,8 +57,24 @@ fn violated_delta_is_caught_deterministically() {
     );
 
     // Without the sabotage the identical scenario is clean.
-    let outcome = run_seed(1, IndexScheme::SyncFull, &clean);
+    let outcome = run_seed(1, scheme, &clean);
     assert!(outcome.passed(), "clean replay failed: {:?}", outcome.violations);
+}
+
+#[test]
+fn violated_delta_is_caught_deterministically() {
+    // Sabotage §4.3: SU3/SU4 read the pre-image at ts instead of ts−δ, so
+    // old == new and the old index entry is never deleted. Seed 1 under
+    // sync-full is fault-free (no RepairAll to legitimately clean up), so
+    // the stale entries survive to the end-of-run checks.
+    violated_delta_is_caught(IndexScheme::SyncFull);
+}
+
+#[test]
+fn violated_delta_is_caught_in_the_aps() {
+    // The same switch covers the APS's BA2→BA3, so async-simple leaks the
+    // old entries too.
+    violated_delta_is_caught(IndexScheme::AsyncSimple);
 }
 
 fn zombie_seeds(scheme: IndexScheme, limit: usize) -> Vec<u64> {

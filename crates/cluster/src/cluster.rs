@@ -56,13 +56,20 @@ impl Default for ClusterOptions {
 /// The values a put replaced, per column, read just before it was staged.
 type PreImages = Vec<(Bytes, Option<VersionedValue>)>;
 
-/// What one client write does to one row: put column values, or delete
-/// columns. Borrowed on the write path; owned copies cross to the fan-out
-/// pool.
-enum Write<'a> {
+/// What one write does to one row: put column values, or delete columns.
+/// Borrowed on the write path; owned copies cross to the fan-out pool.
+#[derive(Debug)]
+pub enum Write<'a> {
+    /// Put these `(column, value)` cells.
     Put(Cow<'a, [ColumnValue]>),
+    /// Delete these columns (tombstones).
     Delete(Cow<'a, [Bytes]>),
 }
+
+/// The region groups of a [`Cluster::raw_write`] that did not land: for
+/// each, the positions of its writes in the input, and the error that
+/// failed it. Empty when every write landed.
+pub type FailedGroups = Vec<(Vec<usize>, ClusterError)>;
 
 impl Write<'_> {
     /// Append this write's cells for `row` at `ts` to `cells`.
@@ -392,7 +399,7 @@ impl Cluster {
             self.crash_server(owner);
             return Err(ClusterError::ServerDown(owner));
         }
-        self.notify(table, std::slice::from_ref(&write), &[ts])?;
+        self.notify(table, &write, ts)?;
         Ok(ts)
     }
 
@@ -400,8 +407,9 @@ impl Cluster {
     /// staged under **one** region-lock acquisition as **one** WAL record
     /// (with consecutive timestamps, preserving §4.3's apply-order =
     /// timestamp-order invariant), and region groups proceed in parallel on
-    /// the fan-out pool. Observer dispatch (index maintenance) then fans
-    /// out across rows. Returns the per-row timestamps, in input order.
+    /// the fan-out pool. Then each observer sees the whole batch in one
+    /// [`TableObserver::post_put_batch`] call, so index maintenance can
+    /// batch too. Returns the per-row timestamps, in input order.
     pub fn put_batch(&self, table: &str, rows: &[(Bytes, Vec<ColumnValue>)]) -> Result<Vec<u64>> {
         type Group = (Arc<Region>, Arc<TimestampOracle>, Vec<usize>);
         let mut groups: BTreeMap<RegionId, Group> = BTreeMap::new();
@@ -432,9 +440,16 @@ impl Cluster {
                 ts_out[i] = ts;
             }
         }
-        let writes: Vec<_> =
-            rows.iter().map(|(row, columns)| (&row[..], Write::Put(columns.into()))).collect();
-        self.notify(table, &writes, &ts_out)?;
+        match &self.observers_of(table)[..] {
+            [] => {}
+            [obs] => Arc::clone(obs).post_put_batch(self, table, rows, &ts_out)?,
+            observers => {
+                let ts = ts_out.clone();
+                self.fan_out(table, observers, move |obs, cluster, table| {
+                    Arc::clone(obs).post_put_batch(cluster, table, &shared, &ts)
+                })?
+            }
+        }
         Ok(ts_out)
     }
 
@@ -449,7 +464,7 @@ impl Cluster {
         let write = (row, Write::Put(columns.into()));
         let mut old_values = Vec::with_capacity(columns.len());
         let ts = self.write_row(table, &write, &self.inner.dispatch.puts, Some(&mut old_values))?;
-        self.notify(table, std::slice::from_ref(&write), &[ts])?;
+        self.notify(table, &write, ts)?;
         Ok(PutOutcome { ts, old_values })
     }
 
@@ -458,7 +473,7 @@ impl Cluster {
     pub fn delete(&self, table: &str, row: &[u8], columns: &[Bytes]) -> Result<u64> {
         let write = (row, Write::Delete(columns.into()));
         let ts = self.write_row(table, &write, &self.inner.dispatch.deletes, None)?;
-        self.notify(table, std::slice::from_ref(&write), &[ts])?;
+        self.notify(table, &write, ts)?;
         Ok(ts)
     }
 
@@ -477,57 +492,106 @@ impl Cluster {
         Ok(ts[0])
     }
 
-    /// Tell every observer of `table` about applied writes: `writes[i]` at
-    /// `ts[i]`. One row with one observer runs inline; otherwise every
-    /// `(row, observer)` pair is a task on the fan-out pool — observers of
-    /// one row run in parallel since their index tables are independent,
-    /// and a batch fans out across its rows. The first error, in row then
-    /// observer-registration order, wins.
-    fn notify(&self, table: &str, writes: &[(&[u8], Write<'_>)], ts: &[u64]) -> Result<()> {
-        let observers = self.observers_of(table);
-        match (writes, &observers[..]) {
-            ([], _) | (_, []) => Ok(()),
-            ([(row, write)], [obs]) => write.notify(obs.as_ref(), self, table, row, ts[0]),
-            _ => {
-                let owned: Arc<[(Bytes, Write<'static>, u64)]> = writes
-                    .iter()
-                    .zip(ts)
-                    .map(|((row, write), &ts)| (Bytes::copy_from_slice(row), write.to_static(), ts))
-                    .collect();
-                let mut tasks = Vec::with_capacity(owned.len() * observers.len());
-                for i in 0..owned.len() {
-                    for obs in &observers {
-                        let (owned, obs, cluster) =
-                            (Arc::clone(&owned), Arc::clone(obs), self.clone());
-                        let table = table.to_string();
-                        tasks.push(move || {
-                            let (row, write, ts) = &owned[i];
-                            write.notify(obs.as_ref(), &cluster, &table, row, *ts)
-                        });
-                    }
-                }
-                self.inner.fanout.run(tasks).into_iter().collect()
+    /// Tell every observer of `table` that `write` was applied to its row
+    /// at `ts`. A lone observer runs inline (the common put: no
+    /// allocation); several run in parallel (see `fan_out`).
+    fn notify(&self, table: &str, (row, write): &(&[u8], Write<'_>), ts: u64) -> Result<()> {
+        match &self.observers_of(table)[..] {
+            [] => Ok(()),
+            [obs] => write.notify(obs.as_ref(), self, table, row, ts),
+            observers => {
+                let (row, write) = (Bytes::copy_from_slice(row), write.to_static());
+                self.fan_out(table, observers, move |obs, cluster, table| {
+                    write.notify(obs.as_ref(), cluster, table, &row, ts)
+                })
             }
         }
     }
 
-    /// Internal put with an explicit timestamp and NO observer dispatch.
-    /// Index maintenance uses this: an index entry must carry the same
-    /// timestamp as the base entry it is associated with (§4.3).
-    pub fn raw_put(&self, table: &str, row: &[u8], columns: &[ColumnValue], ts: u64) -> Result<()> {
-        let (region, _clock) = self.route(table, &row_start(row), &self.inner.dispatch.raw_puts)?;
-        let mut cells = Vec::new();
-        Write::Put(columns.into()).cells(row, ts, &mut cells);
-        Ok(region.engine.write_batch(&cells)?)
+    /// Run `call` for each of `observers` as one fan-out task each: the
+    /// observers of one table run in parallel, since their index tables are
+    /// independent. The first error, in registration order, wins.
+    fn fan_out(
+        &self,
+        table: &str,
+        observers: &[Arc<dyn TableObserver>],
+        call: impl Fn(&Arc<dyn TableObserver>, &Cluster, &str) -> Result<()>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Result<()> {
+        let call = Arc::new(call);
+        let tasks: Vec<_> = observers
+            .iter()
+            .map(|obs| {
+                let (obs, call, cluster) = (Arc::clone(obs), Arc::clone(&call), self.clone());
+                let table = table.to_string();
+                move || call(&obs, &cluster, &table)
+            })
+            .collect();
+        self.inner.fanout.run(tasks).into_iter().collect()
     }
 
-    /// Internal delete with an explicit timestamp and NO observer dispatch.
+    /// Writes at explicit timestamps with NO observer dispatch: `writes[i]`
+    /// is `(row, write, ts)`. Index maintenance uses this, since an index
+    /// entry must carry the same timestamp as the base entry it is
+    /// associated with (§4.3). Writes are grouped by region the way
+    /// [`Cluster::put_batch`] groups rows: each region group is **one** WAL
+    /// record and memtable apply, and the groups run in parallel on the
+    /// fan-out pool. The caller helps with its own groups only
+    /// ([`FanoutPool::run_isolated`]): an index's background worker writes
+    /// through here while its in-flight work holds back a flush drain, so
+    /// it must never pick up a queued client put that could trigger that
+    /// flush. Each write counts as one `raw_puts` or `raw_deletes`
+    /// dispatch. A group that fails fails alone; the rest still land.
+    pub fn raw_write(&self, table: &str, writes: &[(&[u8], Write<'_>, u64)]) -> FailedGroups {
+        /// A region, the input positions routed to it, and their cells.
+        type Group = (Arc<Region>, Vec<usize>, Vec<Cell>);
+        let mut failed = FailedGroups::new();
+        let mut groups: BTreeMap<RegionId, Group> = BTreeMap::new();
+        for (i, (row, write, ts)) in writes.iter().enumerate() {
+            let op = match write {
+                Write::Put(_) => &self.inner.dispatch.raw_puts,
+                Write::Delete(_) => &self.inner.dispatch.raw_deletes,
+            };
+            match self.route(table, &row_start(row), op) {
+                Ok((region, _clock)) => {
+                    let id = region.spec.id;
+                    let (_, idxs, cells) =
+                        groups.entry(id).or_insert_with(|| (region, Vec::new(), Vec::new()));
+                    idxs.push(i);
+                    write.cells(row, *ts, cells);
+                }
+                Err(e) => failed.push((vec![i], e)),
+            }
+        }
+        let (idxs, tasks): (Vec<_>, Vec<_>) = groups
+            .into_values()
+            .map(|(region, idxs, cells)| (idxs, move || region.engine.write_batch(&cells)))
+            .unzip();
+        for (idxs, written) in idxs.into_iter().zip(self.inner.fanout.run_isolated(tasks)) {
+            if let Err(e) = written {
+                failed.push((idxs, e.into()));
+            }
+        }
+        failed
+    }
+
+    /// [`Cluster::raw_write`] of one put.
+    pub fn raw_put(&self, table: &str, row: &[u8], columns: &[ColumnValue], ts: u64) -> Result<()> {
+        self.raw_write_one(table, (row, Write::Put(columns.into()), ts))
+    }
+
+    /// [`Cluster::raw_write`] of one delete.
     pub fn raw_delete(&self, table: &str, row: &[u8], columns: &[Bytes], ts: u64) -> Result<()> {
-        let (region, _clock) =
-            self.route(table, &row_start(row), &self.inner.dispatch.raw_deletes)?;
-        let mut cells = Vec::new();
-        Write::Delete(columns.into()).cells(row, ts, &mut cells);
-        Ok(region.engine.write_batch(&cells)?)
+        self.raw_write_one(table, (row, Write::Delete(columns.into()), ts))
+    }
+
+    fn raw_write_one(&self, table: &str, write: (&[u8], Write<'_>, u64)) -> Result<()> {
+        match self.raw_write(table, &[write]).pop() {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
     }
 
     // -- client reads ----------------------------------------------------------

@@ -3,13 +3,15 @@
 //! HBase coprocessors let code run server-side around table operations
 //! without touching core code — Diff-Index is implemented as three such
 //! observers (§7, Figure 6). Our in-process cluster mirrors the hook surface
-//! Diff-Index needs: post-put, post-delete, pre/post-flush (for the
-//! drain-AUQ-before-flush protocol) and post-replay (to re-enqueue restored
-//! base puts during recovery, §5.3).
+//! Diff-Index needs: post-put, post-put-batch (one call per batched put,
+//! so index maintenance can batch too), post-delete, pre/post-flush (for the
+//! drain-AUQ-before-flush protocol), post-replay (to re-enqueue restored
+//! base puts during recovery, §5.3) and pre/post-recovery (the AUQ hold).
 
 use crate::cluster::Cluster;
 use crate::error::Result;
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// A column write: `(column name, value)`.
 pub type ColumnValue = (Bytes, Bytes);
@@ -19,7 +21,7 @@ pub type ColumnValue = (Bytes, Bytes);
 /// All hooks receive a [`Cluster`] handle so they can issue further
 /// operations (e.g. write index tables hosted on other servers), exactly as
 /// an HBase coprocessor uses an `HTable` client internally.
-pub trait TableObserver: Send + Sync {
+pub trait TableObserver: Send + Sync + 'static {
     /// Called after a client put has been applied (WAL + memtable) to the
     /// base table, with the server-assigned timestamp.
     fn post_put(
@@ -30,6 +32,37 @@ pub trait TableObserver: Send + Sync {
         columns: &[ColumnValue],
         ts: u64,
     ) -> Result<()>;
+
+    /// Called once after a batched client put has been applied, with every
+    /// row of the batch: `ts[i]` is the timestamp of `rows[i]`. The default
+    /// runs [`TableObserver::post_put`] for each row as one task on the
+    /// cluster's fan-out pool and returns the first error in row order;
+    /// Diff-Index overrides it to write a whole batch's index entries as one
+    /// write per index region.
+    fn post_put_batch(
+        self: Arc<Self>,
+        cluster: &Cluster,
+        table: &str,
+        rows: &[(Bytes, Vec<ColumnValue>)],
+        ts: &[u64],
+    ) -> Result<()> {
+        let rows: Arc<[(Bytes, Vec<ColumnValue>, u64)]> = rows
+            .iter()
+            .zip(ts)
+            .map(|((row, columns), &ts)| (row.clone(), columns.clone(), ts))
+            .collect();
+        let tasks: Vec<_> = (0..rows.len())
+            .map(|i| {
+                let (obs, rows, cluster) = (Arc::clone(&self), Arc::clone(&rows), cluster.clone());
+                let table = table.to_string();
+                move || {
+                    let (row, columns, ts) = &rows[i];
+                    obs.post_put(&cluster, &table, row, columns, *ts)
+                }
+            })
+            .collect();
+        cluster.fanout().run(tasks).into_iter().collect()
+    }
 
     /// Called after a client delete has been applied to the base table.
     fn post_delete(

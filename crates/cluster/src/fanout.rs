@@ -14,6 +14,13 @@
 //! park — it **helps**, repeatedly stealing queued tasks (from any batch)
 //! and running them inline until its own batch completes. Progress is
 //! therefore guaranteed even with zero workers.
+//!
+//! Helping has a price: the caller may run *any* queued job, a client
+//! request or another caller's stage included. A thread that must not run
+//! foreign work (one that other jobs may wait for, such as an index's
+//! background worker in the middle of its in-flight work) uses
+//! [`FanoutPool::run_isolated`], which helps only with its own batch. That
+//! is deadlock-free for leaf tasks, which never wait on the pool.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -79,6 +86,11 @@ impl FanoutPool {
         Self { shared, workers: handles }
     }
 
+    /// Number of background worker threads.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
     /// Submit one job without waiting for its completion — fire-and-forget
     /// dispatch. The network server pipelines per-connection requests this
     /// way: the connection reader thread keeps decoding frames while queued
@@ -111,13 +123,7 @@ impl FanoutPool {
             }
             _ => {}
         }
-        let batch = Arc::new(Batch::<T> {
-            results: Mutex::new((0..n).map(|_| None).collect()),
-            done: AtomicUsize::new(0),
-            done_mutex: Mutex::new(()),
-            done_cv: Condvar::new(),
-        });
-
+        let batch = Batch::new(n);
         let mut tasks = tasks.into_iter().enumerate();
         // Keep the first task for this thread; queue the rest.
         let (first_idx, first_task) = tasks.next().expect("n >= 2");
@@ -125,15 +131,7 @@ impl FanoutPool {
             let mut queue = self.shared.queue.lock();
             for (i, task) in tasks {
                 let batch = Arc::clone(&batch);
-                queue.push_back(Box::new(move || {
-                    // A panicking task must still count as done, or the
-                    // caller would wait forever; the missing result panics
-                    // on the *caller's* thread instead when collected.
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
-                        Ok(v) => batch.complete(i, v),
-                        Err(_) => batch.abandon(),
-                    }
-                }));
+                queue.push_back(Box::new(move || batch.execute(i, task)));
             }
         }
         self.shared.work_cv.notify_all();
@@ -146,20 +144,92 @@ impl FanoutPool {
             let stolen = self.shared.queue.lock().pop_front();
             match stolen {
                 Some(job) => job(),
-                None => {
-                    let mut guard = batch.done_mutex.lock();
-                    if batch.done.load(Ordering::Acquire) < n {
-                        batch.done_cv.wait_for(&mut guard, Duration::from_millis(1));
-                    }
-                }
+                None => batch.wait_briefly(n),
             }
         }
-        let mut slots = batch.results.lock();
-        slots.iter_mut().map(|s| s.take().expect("fan-out task panicked")).collect()
+        batch.take_results()
+    }
+
+    /// [`FanoutPool::run`] for leaf tasks — tasks that never wait on the
+    /// pool themselves — where the caller helps with **only** this batch
+    /// and never runs another queued job. Workers that are free take tasks
+    /// in parallel; the caller takes whatever is left, so this completes
+    /// even with every worker busy.
+    pub fn run_isolated<T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let n = tasks.len();
+        if n <= 1 {
+            return tasks.into_iter().map(|task| task()).collect();
+        }
+        let batch = Batch::new(n);
+        let own: Arc<Mutex<VecDeque<(usize, F)>>> =
+            Arc::new(Mutex::new(tasks.into_iter().enumerate().collect()));
+        // One claim per task the caller may not get to: a worker running a
+        // claim takes the batch's next unclaimed task, if any is left.
+        {
+            let mut queue = self.shared.queue.lock();
+            for _ in 1..n {
+                let (own, batch) = (Arc::clone(&own), Arc::clone(&batch));
+                queue.push_back(Box::new(move || {
+                    let next = own.lock().pop_front();
+                    if let Some((i, task)) = next {
+                        batch.execute(i, task);
+                    }
+                }));
+            }
+        }
+        self.shared.work_cv.notify_all();
+        loop {
+            let next = own.lock().pop_front();
+            match next {
+                Some((i, task)) => batch.execute(i, task),
+                None => break,
+            }
+        }
+        while batch.done.load(Ordering::Acquire) < n {
+            batch.wait_briefly(n);
+        }
+        batch.take_results()
     }
 }
 
 impl<T> Batch<T> {
+    fn new(n: usize) -> Arc<Self> {
+        Arc::new(Batch {
+            results: Mutex::new((0..n).map(|_| None).collect()),
+            done: AtomicUsize::new(0),
+            done_mutex: Mutex::new(()),
+            done_cv: Condvar::new(),
+        })
+    }
+
+    /// Run task `index` and record its result. A panicking task must
+    /// still count as done, or the caller would wait
+    /// forever; the missing result panics on the *caller's* thread instead
+    /// when collected.
+    fn execute(&self, index: usize, task: impl FnOnce() -> T) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
+            Ok(v) => self.complete(index, v),
+            Err(_) => self.abandon(),
+        }
+    }
+
+    /// Park until a task of this batch (of `n`) completes, or 1 ms passes.
+    fn wait_briefly(&self, n: usize) {
+        let mut guard = self.done_mutex.lock();
+        if self.done.load(Ordering::Acquire) < n {
+            self.done_cv.wait_for(&mut guard, Duration::from_millis(1));
+        }
+    }
+
+    fn take_results(&self) -> Vec<T> {
+        let mut slots = self.results.lock();
+        slots.iter_mut().map(|s| s.take().expect("fan-out task panicked")).collect()
+    }
+
     fn complete(&self, index: usize, value: T) {
         self.results.lock()[index] = Some(value);
         self.bump_done();
@@ -288,6 +358,37 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(5), "spawned jobs never ran");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn isolated_run_never_runs_a_foreign_job() {
+        // No workers: a queued foreign job could only run if the caller
+        // stole it.
+        let pool = FanoutPool::new(0);
+        let foreign = Arc::new(AtomicUsize::new(0));
+        let hit = Arc::clone(&foreign);
+        pool.spawn(move || {
+            hit.fetch_add(1, Ordering::SeqCst);
+        });
+        let out = pool.run_isolated((0..4).map(|i| move || i * 3).collect::<Vec<_>>());
+        assert_eq!(out, vec![0, 3, 6, 9]);
+        assert_eq!(foreign.load(Ordering::SeqCst), 0, "the caller ran a foreign job");
+        // A stealing run drains the queue: the foreign job, and the
+        // isolated batch's leftover claims (no-ops by now).
+        pool.run(vec![|| (), || ()]);
+        assert_eq!(foreign.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn isolated_run_uses_free_workers() {
+        let pool = FanoutPool::new(4);
+        let t0 = std::time::Instant::now();
+        pool.run_isolated(
+            (0..4)
+                .map(|_| move || std::thread::sleep(Duration::from_millis(40)))
+                .collect::<Vec<_>>(),
+        );
+        assert!(t0.elapsed() < Duration::from_millis(120), "took {:?}", t0.elapsed());
     }
 
     #[test]

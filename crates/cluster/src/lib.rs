@@ -10,7 +10,8 @@
 //! * **region servers** hosting regions, each with a monotonic
 //!   millisecond timestamp oracle;
 //! * a **client library** that routes requests by cached partition map;
-//! * **coprocessors** ([`TableObserver`]) intercepting puts, deletes,
+//! * **coprocessors** ([`TableObserver`]) intercepting puts (one call per
+//!   batch for batched puts), deletes,
 //!   flushes and WAL replays — the extension point Diff-Index plugs into;
 //! * **failure injection + master recovery**: crash a server, reassign its
 //!   regions, recover their state by WAL replay.
@@ -32,7 +33,8 @@ pub mod health;
 pub mod keyspace;
 
 pub use cluster::{
-    Cluster, ClusterOptions, DispatchSnapshot, PutOutcome, RecoveryStats, RowGroup, WeakCluster,
+    Cluster, ClusterOptions, DispatchSnapshot, FailedGroups, PutOutcome, RecoveryStats, RowGroup,
+    WeakCluster, Write,
 };
 pub use coproc::{ColumnValue, ReplayedOp, TableObserver};
 pub use fanout::FanoutPool;

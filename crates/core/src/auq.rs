@@ -15,11 +15,10 @@
 //!   replay every restored base put is re-enqueued; re-delivery is
 //!   idempotent because index entries carry their base entry's timestamp.
 
-use crate::maintain;
+use crate::maintain::{self, old_entry_ts};
 use crate::spec::IndexSpec;
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ColumnValue, WeakCluster};
-use diff_index_lsm::DELTA;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,6 +30,11 @@ use std::time::Duration;
 /// from spinning forever, and is generous enough to survive any transient
 /// unavailability window (e.g. a crashed server awaiting recovery).
 const MAX_RETRIES: u32 = 64;
+
+/// Most first-attempt `Maintain` tasks the APS takes as one run: their BA2
+/// reads, then all their BA3 deletes and BA4 puts as one index write per
+/// index region. Bounds the work a flush drain can find in flight.
+const MAX_RUN: usize = 256;
 
 /// One unit of deferred index work.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,6 +85,17 @@ struct State {
     /// (`PR(Flushed) = ∅`, Figure 5) must hold even mid-chaos, or the base
     /// flush would deadlock behind an injected fault.
     stalled: bool,
+    /// How many tasks at the front of `queue` are the unrun rest of a failed
+    /// run, put back by a wedge: they run one at a time, never as a run.
+    solo: usize,
+}
+
+impl State {
+    /// An injected stall or a recovery hold wedges the worker — unless a
+    /// flush drain is waiting (paused), which takes precedence.
+    fn wedged(&self) -> bool {
+        (self.stalled || self.held) && !self.paused
+    }
 }
 
 /// Cumulative AUQ counters plus staleness (index-after-data time-lag)
@@ -158,6 +173,7 @@ impl Auq {
                 shutdown: false,
                 held: false,
                 stalled: false,
+                solo: 0,
             }),
             cv: Condvar::new(),
             cluster,
@@ -290,20 +306,17 @@ impl Auq {
 
     fn aps_loop(&self) {
         loop {
-            let task = {
+            let run = {
                 let mut s = self.state.lock();
                 loop {
                     if s.shutdown {
                         return;
                     }
-                    // An injected stall or a recovery hold wedges the
-                    // worker — unless a flush drain is waiting (paused),
-                    // which takes precedence.
-                    let wedged = (s.stalled || s.held) && !s.paused;
-                    if !wedged {
-                        if let Some(t) = s.queue.pop_front() {
-                            s.in_flight += 1;
-                            break t;
+                    if !s.wedged() {
+                        let run = pop_run(&mut s);
+                        if !run.is_empty() {
+                            s.in_flight += run.len();
+                            break run;
                         }
                     }
                     // Nothing to do; also wake periodically so a cluster
@@ -311,76 +324,125 @@ impl Auq {
                     self.cv.wait_for(&mut s, Duration::from_millis(100));
                 }
             };
-            let (task, attempts) = task;
-            let outcome = match self.cluster.upgrade() {
-                Some(cluster) => self.execute(&cluster, &task),
-                None => {
-                    // Cluster is gone; nothing will ever succeed again.
-                    let mut s = self.state.lock();
-                    s.in_flight -= 1;
-                    s.shutdown = true;
-                    self.cv.notify_all();
-                    return;
-                }
+            let Some(cluster) = self.cluster.upgrade() else {
+                // Cluster is gone; nothing will ever succeed again.
+                let mut s = self.state.lock();
+                s.in_flight -= run.len();
+                s.shutdown = true;
+                self.cv.notify_all();
+                return;
             };
-            let mut s = self.state.lock();
-            s.in_flight -= 1;
-            match outcome {
-                Ok(()) => {
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    if let IndexTask::Maintain { ts, .. } = &task {
-                        let lag = wall_ms().saturating_sub(*ts);
-                        self.metrics.record_lag(lag);
-                    }
+            if run.len() > 1 && self.execute(&cluster, &run).is_ok() {
+                let mut s = self.state.lock();
+                s.in_flight -= run.len();
+                for (task, _) in &run {
+                    self.record_completion(task);
                 }
-                Err(_) if attempts + 1 < MAX_RETRIES => {
-                    self.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                    s.queue.push_back((task, attempts + 1));
-                    // Back off before the next attempt so a transiently
-                    // unavailable region (crashed server awaiting master
-                    // recovery) gets time to come back. Capped so that a
-                    // drain waiting on a doomed task is bounded.
-                    let backoff = Duration::from_millis(
-                        (5u64 << attempts.min(5)).min(150),
-                    );
-                    drop(s);
-                    std::thread::sleep(backoff);
-                    self.cv.notify_all();
-                    continue;
-                }
-                Err(_) => {
-                    self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
-                }
+                self.cv.notify_all();
+                continue;
             }
-            self.cv.notify_all();
+            // A single task, or a run that failed somewhere: one task at a
+            // time, each with its own retry count and backoff. Writes the
+            // run already landed are re-done idempotently (same timestamps).
+            // A stall or hold set meanwhile stops it before the next task:
+            // the untried rest goes back to the front of the queue, attempts
+            // unchanged, to run one at a time once the wedge lifts.
+            let mut rest = run.into_iter();
+            while rest.len() > 0 {
+                let mut s = self.state.lock();
+                if s.wedged() {
+                    s.in_flight -= rest.len();
+                    s.solo += rest.len();
+                    for item in rest.rev() {
+                        s.queue.push_front(item);
+                    }
+                    self.cv.notify_all();
+                    break;
+                }
+                drop(s);
+                let item = rest.next().expect("rest is not empty");
+                let outcome = self.execute(&cluster, std::slice::from_ref(&item));
+                self.settle(item, outcome);
+            }
         }
     }
 
-    /// Execute one task against the cluster. `Maintain` is Algorithm 4:
-    /// BA2 read the pre-image, BA3 delete the old index entry, BA4 insert
-    /// the new one; a failed write sends the whole task back for retry.
-    fn execute(&self, cluster: &Cluster, task: &IndexTask) -> crate::error::Result<()> {
-        let spec = &self.spec;
-        match task {
-            IndexTask::Maintain { row, ts, is_delete, put_columns } => {
-                let new = if *is_delete {
-                    None
-                } else {
-                    maintain::values_at(cluster, spec, row, put_columns, *ts)?
-                };
-                maintain::replace_old(cluster, spec, row, new.as_deref(), ts - DELTA)?
-                    .map_err(|f| f.error)?;
-                maintain::put_new(cluster, spec, row, new.as_deref(), *ts).map_err(|f| f.error)?;
+    fn record_completion(&self, task: &IndexTask) {
+        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+        if let IndexTask::Maintain { ts, .. } = task {
+            self.metrics.record_lag(wall_ms().saturating_sub(*ts));
+        }
+    }
+
+    /// Account for one executed task: done, queued again for another
+    /// attempt after a backoff, or dropped once out of retries.
+    fn settle(&self, (task, attempts): (IndexTask, u32), outcome: crate::error::Result<()>) {
+        let mut s = self.state.lock();
+        s.in_flight -= 1;
+        match outcome {
+            Ok(()) => self.record_completion(&task),
+            Err(_) if attempts + 1 < MAX_RETRIES => {
+                self.metrics.retries.fetch_add(1, Ordering::Relaxed);
+                s.queue.push_back((task, attempts + 1));
+                // Back off before the next attempt so a transiently
+                // unavailable region (crashed server awaiting master
+                // recovery) gets time to come back. Capped so that a
+                // drain waiting on a doomed task is bounded.
+                let backoff = Duration::from_millis((5u64 << attempts.min(5)).min(150));
+                drop(s);
+                std::thread::sleep(backoff);
             }
-            IndexTask::PutIndex { index_row, ts } => {
-                maintain::put_entry(cluster, spec, index_row, *ts)?;
-            }
-            IndexTask::DeleteIndex { index_row, ts } => {
-                maintain::delete_entry(cluster, spec, index_row, *ts)?;
+            Err(_) => {
+                self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(())
+        self.cv.notify_all();
     }
+
+    /// Execute tasks against the cluster, all their index writes as one
+    /// `raw_write`. `Maintain` is Algorithm 4: BA2 read the pre-image, BA3
+    /// delete the old index entry, BA4 insert the new one; `PutIndex` and
+    /// `DeleteIndex` are entry writes already. Any failed read or write
+    /// fails the whole call.
+    fn execute(&self, cluster: &Cluster, tasks: &[(IndexTask, u32)]) -> crate::error::Result<()> {
+        let spec = &self.spec;
+        let mut entries = Vec::with_capacity(2 * tasks.len());
+        for (task, _) in tasks {
+            match task {
+                IndexTask::Maintain { row, ts, is_delete, put_columns } => {
+                    let new = if *is_delete {
+                        None
+                    } else {
+                        maintain::values_at(cluster, spec, row, put_columns, *ts)?
+                    };
+                    let old_ts = old_entry_ts(cluster, *ts);
+                    let old = maintain::old_entry(cluster, spec, row, new.as_deref(), old_ts)?;
+                    entries.extend(old);
+                    entries.extend(maintain::new_entry(row, new.as_deref(), *ts));
+                }
+                entry => entries.push(entry.clone()),
+            }
+        }
+        maintain::write_entries(cluster, spec, entries).1.map_or(Ok(()), |e| Err(e.into()))
+    }
+}
+
+/// Pop the next run: the front task alone if it is the rest of a failed run
+/// ([`State::solo`]), else the longest prefix of first-attempt `Maintain`
+/// tasks, up to [`MAX_RUN`], or else the one task at the front.
+fn pop_run(s: &mut State) -> Vec<(IndexTask, u32)> {
+    let batchable = |item: &(IndexTask, u32)| matches!(item, (IndexTask::Maintain { .. }, 0));
+    let n = if s.solo > 0 {
+        s.solo -= 1;
+        1
+    } else {
+        match s.queue.iter().take(MAX_RUN).position(|item| !batchable(item)) {
+            Some(0) => 1,
+            Some(n) => n,
+            None => s.queue.len().min(MAX_RUN),
+        }
+    };
+    s.queue.drain(..n).collect()
 }
 
 impl Drop for Auq {
@@ -681,5 +743,141 @@ mod tests {
         assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 1);
         auq.resume();
         auq.release_recovery_hold();
+    }
+
+    #[test]
+    fn the_rest_of_a_wedged_run_pops_one_task_at_a_time() {
+        let mut s = State {
+            queue: (0..4).map(|i| (maintain_task(i), 0)).collect(),
+            paused: false,
+            in_flight: 0,
+            shutdown: false,
+            held: false,
+            stalled: false,
+            solo: 2,
+        };
+        let sizes: Vec<usize> = std::iter::from_fn(|| {
+            let run = pop_run(&mut s);
+            (!run.is_empty()).then_some(run.len())
+        })
+        .collect();
+        assert_eq!(sizes, vec![1, 1, 2], "two solo tasks, then a run of the rest");
+    }
+
+    #[test]
+    fn a_wedge_stops_the_rest_of_a_failed_run() {
+        // Base on server 0; every entry indexes into region 1 (server 1).
+        let dir = TempDir::new("auq").unwrap();
+        let opts = ClusterOptions { num_servers: 2, ..ClusterOptions::default() };
+        let cluster = Cluster::new(dir.path(), opts).unwrap();
+        cluster.create_table("base", 1).unwrap();
+        let spec = Arc::new(IndexSpec::single("byname", "base", "name", IndexScheme::AsyncSimple));
+        cluster.create_table(&spec.index_table(), 2).unwrap();
+        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
+        let n = 16;
+        let tasks: Vec<IndexTask> = (0..n)
+            .map(|i| {
+                let row = b(&format!("r{i:02}"));
+                let put_columns = vec![(b("name"), Bytes::from(vec![0x90, b'a' + i as u8]))];
+                let ts = cluster.put("base", &row, &put_columns).unwrap();
+                IndexTask::Maintain { row, ts, is_delete: false, put_columns }
+            })
+            .collect();
+        cluster.crash_server(1);
+
+        // One run of sixteen tasks, all failing. Wedge the worker once the
+        // one-at-a-time fallback has started.
+        auq.set_stalled(true);
+        auq.enqueue_many(tasks);
+        auq.set_stalled(false);
+        let m = auq.metrics();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while m.retries.load(Ordering::Relaxed) == 0 {
+            assert!(std::time::Instant::now() < deadline, "the run never failed");
+            std::thread::yield_now();
+        }
+        auq.set_stalled(true);
+        // Every failing attempt backs off 5 ms; a worker that ignored the
+        // wedge would go through all sixteen within this sleep.
+        std::thread::sleep(Duration::from_millis(300));
+        let tried = m.retries.load(Ordering::Relaxed) as usize;
+        assert!(tried < n, "the fallback ran on while wedged ({tried} attempts)");
+        {
+            let s = auq.state.lock();
+            assert_eq!((s.in_flight, s.queue.len(), s.solo), (0, n, n - tried));
+            // The untried rest is at the front with its attempts unchanged.
+            assert!(s.queue.iter().take(n - tried).all(|(_, attempts)| *attempts == 0));
+        }
+        assert_eq!(m.retries.load(Ordering::Relaxed) as usize, tried, "no attempt while wedged");
+
+        cluster.recover().unwrap();
+        auq.set_stalled(false);
+        auq.wait_idle();
+        assert_eq!(m.completed.load(Ordering::Relaxed) as usize, n);
+        assert_eq!(m.dropped.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_failing_task_leaves_the_rest_of_its_run_to_complete_first_time() {
+        // Base on server 0; index regions 0 (server 0) and 1 (server 1).
+        let dir = TempDir::new("auq").unwrap();
+        let opts = ClusterOptions { num_servers: 2, ..ClusterOptions::default() };
+        let cluster = Cluster::new(dir.path(), opts).unwrap();
+        cluster.create_table("base", 1).unwrap();
+        let spec = Arc::new(IndexSpec::single("byname", "base", "name", IndexScheme::AsyncSimple));
+        cluster.create_table(&spec.index_table(), 2).unwrap();
+        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
+        // Values below 0x80 index into region 0; the last one into region 1.
+        let values: Vec<Bytes> = (0..5u8)
+            .map(|i| Bytes::from(vec![if i == 4 { 0x90 } else { b'a' + i }, b'v']))
+            .collect();
+        let tasks: Vec<IndexTask> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let row = b(&format!("r{i}"));
+                let put_columns = vec![(b("name"), v.clone())];
+                let ts = cluster.put("base", &row, &put_columns).unwrap();
+                IndexTask::Maintain { row, ts, is_delete: false, put_columns }
+            })
+            .collect();
+        cluster.crash_server(1);
+
+        // One run of five first-attempt tasks.
+        auq.set_stalled(true);
+        auq.enqueue_many(tasks);
+        auq.set_stalled(false);
+        let m = auq.metrics();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            // Every retry so far is the failing task's own: its count
+            // advances once per attempt.
+            let s = auq.state.lock();
+            let retried = m.retries.load(Ordering::Relaxed) > 0;
+            if let Some((IndexTask::Maintain { row, .. }, attempts)) =
+                s.queue.front().filter(|_| retried)
+            {
+                assert_eq!(row, &b("r4"));
+                assert_eq!(*attempts as u64, m.retries.load(Ordering::Relaxed));
+                if *attempts >= 3 {
+                    break;
+                }
+            }
+            drop(s);
+            assert!(std::time::Instant::now() < deadline, "the failing task never retried");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(m.completed.load(Ordering::Relaxed), 4, "the others finish first time");
+        for (i, v) in values.iter().take(4).enumerate() {
+            let key = index_row(std::slice::from_ref(v), format!("r{i}").as_bytes());
+            assert!(cluster.get(&spec.index_table(), &key, b"", u64::MAX).unwrap().is_some());
+        }
+
+        cluster.recover().unwrap();
+        auq.wait_idle();
+        assert_eq!(m.completed.load(Ordering::Relaxed), 5);
+        assert_eq!(m.dropped.load(Ordering::Relaxed), 0);
+        let key = index_row(&values[4..], b"r4");
+        assert!(cluster.get(&spec.index_table(), &key, b"", u64::MAX).unwrap().is_some());
     }
 }

@@ -5,16 +5,22 @@
 //! in the observer, in the APS, or at read time — so the steps themselves
 //! live here and the callers pick:
 //!
-//! * sync-full runs [`put_new`] (SU2) and [`replace_old`] (SU3→SU4) in
-//!   parallel on every put, and [`replace_old`] alone on every delete;
-//! * sync-insert runs [`put_new`] only;
-//! * the APS runs [`replace_old`] (BA2→BA3) then [`put_new`] (BA4);
+//! * sync-full runs SU2 ([`new_entry`]) in parallel with SU3→SU4
+//!   ([`old_entry`]) on every put, and SU3→SU4 alone on every delete;
+//! * sync-insert runs SU2 only;
+//! * the APS runs BA2→BA3 ([`old_entry`]) and BA4 ([`new_entry`]);
 //! * read-repair, backfill and cleanse write single entries through
 //!   [`put_entry`] / [`delete_entry`].
 //!
 //! Every index entry is key-only (§4, Remark): the row key is
 //! `value₁ ⊕ … ⊕ valueₙ ⊕ base-row-key` and the payload is one empty
 //! column, so that shape is spelled out in exactly one place below.
+//!
+//! Index maintenance is split into *planning* entry writes ([`new_entry`],
+//! [`old_entry`]), as the `PutIndex` / `DeleteIndex` tasks that would retry
+//! them, and *writing* them: all of an operation's or a batch's entries as
+//! one `Cluster::raw_write` ([`write_entries`]), which makes each index
+//! region one WAL record.
 
 use crate::auq::IndexTask;
 use crate::encoding::index_row;
@@ -22,8 +28,14 @@ use crate::error::Result;
 use crate::spec::IndexSpec;
 use crate::store::Store;
 use bytes::Bytes;
-use diff_index_cluster::{ClusterError, ColumnValue, Result as ClusterResult};
-use diff_index_lsm::VersionedValue;
+use diff_index_cluster::{Cluster, ClusterError, ColumnValue, Result as ClusterResult, Write};
+use diff_index_lsm::{VersionedValue, DELTA};
+use std::borrow::Cow;
+
+/// The one empty column every key-only index entry is put with ...
+static ENTRY_PUT: [ColumnValue; 1] = [(Bytes::new(), Bytes::new())];
+/// ... and deleted by.
+static ENTRY_DELETE: [Bytes; 1] = [Bytes::new()];
 
 /// Put the key-only index entry `key` at `ts`.
 pub(crate) fn put_entry(
@@ -32,7 +44,7 @@ pub(crate) fn put_entry(
     key: &[u8],
     ts: u64,
 ) -> ClusterResult<()> {
-    store.raw_put(&spec.index_table(), key, &[(Bytes::new(), Bytes::new())], ts)
+    store.raw_put(&spec.index_table(), key, &ENTRY_PUT, ts)
 }
 
 /// Delete the key-only index entry `key` at `ts`.
@@ -42,7 +54,19 @@ pub(crate) fn delete_entry(
     key: &[u8],
     ts: u64,
 ) -> ClusterResult<()> {
-    store.raw_delete(&spec.index_table(), key, &[Bytes::new()], ts)
+    store.raw_delete(&spec.index_table(), key, &ENTRY_DELETE, ts)
+}
+
+/// The timestamp old-entry operations use: `ts − δ` per §4.3, or `ts`
+/// itself under the cluster's §4.3 sabotage switch
+/// ([`FaultPlan::sabotage_delta`](diff_index_cluster::FaultPlan::sabotage_delta)).
+/// Every old-entry site goes through here.
+pub(crate) fn old_entry_ts(cluster: &Cluster, ts: u64) -> u64 {
+    if cluster.faults().delta_sabotaged() {
+        ts
+    } else {
+        ts - DELTA
+    }
 }
 
 /// Indexed-value derivation: each of `spec`'s columns, in index order, from
@@ -83,46 +107,64 @@ pub(crate) fn values_at(
     Ok(values.map(|(values, _)| values))
 }
 
-/// An index write that failed: its error, and the task that retries it.
-pub(crate) struct Failed {
-    pub(crate) error: ClusterError,
-    pub(crate) retry: IndexTask,
+/// The raw write of one planned entry: `PutIndex` puts the key-only entry,
+/// `DeleteIndex` deletes it, each at its fixed timestamp.
+fn entry_write(entry: &IndexTask) -> (&[u8], Write<'static>, u64) {
+    match entry {
+        IndexTask::PutIndex { index_row, ts } => {
+            (index_row, Write::Put(Cow::Borrowed(&ENTRY_PUT)), *ts)
+        }
+        IndexTask::DeleteIndex { index_row, ts } => {
+            (index_row, Write::Delete(Cow::Borrowed(&ENTRY_DELETE)), *ts)
+        }
+        IndexTask::Maintain { .. } => unreachable!("only entry writes are planned"),
+    }
 }
 
-/// SU2 / BA4, `PI(vnew ⊕ k, ts)`: put `row`'s entry for the values `new`
-/// at the base timestamp. Nothing to do when the row is not indexed.
-pub(crate) fn put_new(
-    store: &dyn Store,
-    spec: &IndexSpec,
-    row: &[u8],
-    new: Option<&[Bytes]>,
-    ts: u64,
-) -> std::result::Result<(), Failed> {
-    let Some(new) = new else { return Ok(()) };
-    let key = index_row(new, row);
-    put_entry(store, spec, &key, ts)
-        .map_err(|error| Failed { error, retry: IndexTask::PutIndex { index_row: key, ts } })
+/// SU2 / BA4, `PI(vnew ⊕ k, ts)`: the entry for `row`'s new values `new`
+/// at the base timestamp. None when the row is not indexed.
+pub(crate) fn new_entry(row: &[u8], new: Option<&[Bytes]>, ts: u64) -> Option<IndexTask> {
+    new.map(|new| IndexTask::PutIndex { index_row: index_row(new, row), ts })
 }
 
-/// SU3→SU4 / BA2→BA3: read `row`'s index values at `old_ts`, then delete
-/// their entry at `old_ts` unless they equal `new`. The δ in
-/// `old_ts = t − δ` matters twice (§4.3): reading at `t` would see the new
-/// value, and deleting at `t` would kill the entry [`put_new`] writes when
-/// vold = vnew. The outer `Err` is a failed base read; nothing was written.
-pub(crate) fn replace_old(
+/// SU3 / BA2, `RB(k, t − δ)`: read `row`'s index values at `old_ts`. Unless
+/// they equal `new`, their entry is the one SU4 / BA3 deletes at `old_ts`.
+/// The δ in `old_ts = t − δ` matters twice (§4.3): reading at `t` would
+/// see the new value, and deleting at `t` would kill the entry
+/// [`new_entry`] puts when vold = vnew. `Err` is a failed base read.
+pub(crate) fn old_entry(
     store: &dyn Store,
     spec: &IndexSpec,
     row: &[u8],
     new: Option<&[Bytes]>,
     old_ts: u64,
-) -> Result<std::result::Result<(), Failed>> {
-    let Some(old) = values_at(store, spec, row, &[], old_ts)? else { return Ok(Ok(())) };
-    if Some(old.as_slice()) == new {
-        return Ok(Ok(()));
-    }
-    let key = index_row(&old, row);
-    Ok(delete_entry(store, spec, &key, old_ts).map_err(|error| Failed {
-        error,
-        retry: IndexTask::DeleteIndex { index_row: key, ts: old_ts },
+) -> Result<Option<IndexTask>> {
+    let old = values_at(store, spec, row, &[], old_ts)?;
+    Ok(old.filter(|old| Some(old.as_slice()) != new).map(|old| IndexTask::DeleteIndex {
+        index_row: index_row(&old, row),
+        ts: old_ts,
     }))
+}
+
+/// Write planned entries (from [`new_entry`] / [`old_entry`]) as one
+/// `Cluster::raw_write` on the index table: one WAL record per index
+/// region, the regions in parallel. Returns the entries of the region
+/// groups that failed — they are their own AUQ retries (§6.2) — and the
+/// first error; the other groups have landed.
+pub(crate) fn write_entries(
+    cluster: &Cluster,
+    spec: &IndexSpec,
+    entries: impl IntoIterator<Item = IndexTask>,
+) -> (Vec<IndexTask>, Option<ClusterError>) {
+    let entries: Vec<_> = entries.into_iter().collect();
+    let writes: Vec<_> = entries.iter().map(entry_write).collect();
+    let mut failed_groups = cluster.raw_write(&spec.index_table(), &writes).into_iter();
+    let Some((first, error)) = failed_groups.next() else { return (Vec::new(), None) };
+    let mut entries: Vec<_> = entries.into_iter().map(Some).collect();
+    let retries = first
+        .into_iter()
+        .chain(failed_groups.flat_map(|(idxs, _)| idxs))
+        .filter_map(|i| entries[i].take())
+        .collect();
+    (retries, Some(error))
 }

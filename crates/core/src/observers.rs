@@ -18,26 +18,14 @@
 
 use crate::auq::{Auq, IndexTask};
 use crate::error::Result;
-use crate::maintain;
+use crate::maintain::{self, old_entry_ts};
 use crate::spec::{IndexScheme, IndexSpec};
 use bytes::Bytes;
 use diff_index_cluster::{
     Cluster, ColumnValue, ReplayedOp, Result as ClusterResult, TableObserver,
 };
-use diff_index_lsm::DELTA;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// The timestamp old-entry operations should use: `ts − δ` per §4.3, or
-/// `ts` itself under the cluster's §4.3 sabotage switch
-/// ([`FaultPlan::sabotage_delta`](diff_index_cluster::FaultPlan::sabotage_delta)).
-fn old_entry_ts(cluster: &Cluster, ts: u64) -> u64 {
-    if cluster.faults().delta_sabotaged() {
-        ts
-    } else {
-        ts - DELTA
-    }
-}
 
 /// The coprocessor for one index; `spec.scheme` picks the maintenance
 /// scheme.
@@ -82,21 +70,20 @@ impl IndexObserver {
         let new = maintain::values_at(cluster, &self.spec, row, columns, ts)?;
         let old_ts = old_entry_ts(cluster, ts);
         let row = Bytes::copy_from_slice(row);
-        type Arm = Box<dyn FnOnce() -> Result<Option<IndexTask>> + Send>;
+        type Arm = Box<dyn FnOnce() -> Result<Vec<IndexTask>> + Send>;
         let su2: Arm = {
             let (cluster, spec, row, new) =
                 (cluster.clone(), Arc::clone(&self.spec), row.clone(), new.clone());
             Box::new(move || {
-                Ok(maintain::put_new(&cluster, &spec, &row, new.as_deref(), ts)
-                    .err()
-                    .map(|f| f.retry))
+                let entry = maintain::new_entry(&row, new.as_deref(), ts);
+                Ok(maintain::write_entries(&cluster, &spec, entry).0)
             })
         };
         let su3_su4: Arm = {
             let (cluster, spec) = (cluster.clone(), Arc::clone(&self.spec));
             Box::new(move || {
-                let outcome = maintain::replace_old(&cluster, &spec, &row, new.as_deref(), old_ts)?;
-                Ok(outcome.err().map(|f| f.retry))
+                let entry = maintain::old_entry(&cluster, &spec, &row, new.as_deref(), old_ts)?;
+                Ok(maintain::write_entries(&cluster, &spec, entry).0)
             })
         };
         let arms = vec![su2, su3_su4];
@@ -120,6 +107,44 @@ impl IndexObserver {
         first_err.map_or(Ok(()), Err)
     }
 
+    /// sync-insert, and sync-full over a batch: every row's SU2 entry and,
+    /// under sync-full, its SU3 pre-image read and SU4 delete, the entries
+    /// written as one `raw_write` (one WAL record per index region). A
+    /// failed region group becomes AUQ retries of its own entries (§6.2).
+    /// A failed base read drops only the entries that depend on it; the
+    /// first such error, in row order, is returned once everything else has
+    /// been written.
+    fn sync_batch<'a>(
+        &self,
+        cluster: &Cluster,
+        rows: impl IntoIterator<Item = (&'a [u8], &'a [ColumnValue], u64)>,
+    ) -> Result<()> {
+        let full = self.spec.scheme == IndexScheme::SyncFull;
+        let mut entries = Vec::new();
+        let mut first_err = None;
+        for (row, columns, ts) in rows {
+            let new = match maintain::values_at(cluster, &self.spec, row, columns, ts) {
+                Ok(new) => new,
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                    continue;
+                }
+            };
+            if full {
+                let old_ts = old_entry_ts(cluster, ts);
+                match maintain::old_entry(cluster, &self.spec, row, new.as_deref(), old_ts) {
+                    Ok(old) => entries.extend(old),
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+            entries.extend(maintain::new_entry(row, new.as_deref(), ts));
+        }
+        self.auq.enqueue_many(maintain::write_entries(cluster, &self.spec, entries).0);
+        first_err.map_or(Ok(()), Err)
+    }
+
     fn enqueue_maintain(
         &self,
         row: &[u8],
@@ -133,6 +158,11 @@ impl IndexObserver {
             is_delete,
             put_columns,
         });
+    }
+
+    /// The columns of a put the index covers: what an AUQ entry carries.
+    fn indexed(&self, columns: &[ColumnValue]) -> Vec<ColumnValue> {
+        columns.iter().filter(|(c, _)| self.spec.columns.contains(c)).cloned().collect()
     }
 }
 
@@ -150,18 +180,41 @@ impl TableObserver for IndexObserver {
         }
         match self.spec.scheme {
             IndexScheme::SyncFull => self.sync_full_put(cluster, row, columns, ts)?,
-            IndexScheme::SyncInsert => {
-                let new = maintain::values_at(cluster, &self.spec, row, columns, ts)?;
-                if let Err(f) = maintain::put_new(cluster, &self.spec, row, new.as_deref(), ts) {
-                    self.auq.enqueue(f.retry);
-                }
-            }
+            IndexScheme::SyncInsert => self.sync_batch(cluster, [(row, columns, ts)])?,
             IndexScheme::AsyncSimple | IndexScheme::AsyncSession => {
                 // AU1 (Algorithm 3): the base put is already logged and in
                 // the memtable; enqueue ⟨k, vnew, tnew⟩ and return, so the
                 // client is acked right away.
-                let indexed = columns.iter().filter(|(c, _)| self.spec.columns.contains(c));
-                self.enqueue_maintain(row, ts, false, indexed.cloned().collect());
+                self.enqueue_maintain(row, ts, false, self.indexed(columns));
+            }
+        }
+        Ok(())
+    }
+
+    fn post_put_batch(
+        self: Arc<Self>,
+        cluster: &Cluster,
+        _table: &str,
+        rows: &[(Bytes, Vec<ColumnValue>)],
+        ts: &[u64],
+    ) -> ClusterResult<()> {
+        let touched = rows
+            .iter()
+            .zip(ts)
+            .filter(|((_, columns), _)| self.spec.touches(columns.iter().map(|(c, _)| c)));
+        match self.spec.scheme {
+            IndexScheme::SyncFull | IndexScheme::SyncInsert => {
+                let rows = touched.map(|((row, columns), &ts)| (&row[..], &columns[..], ts));
+                self.sync_batch(cluster, rows)?
+            }
+            IndexScheme::AsyncSimple | IndexScheme::AsyncSession => {
+                // AU1 for the whole batch, admitted at once.
+                self.auq.enqueue_many(touched.map(|((row, columns), &ts)| IndexTask::Maintain {
+                    row: row.clone(),
+                    ts,
+                    is_delete: false,
+                    put_columns: self.indexed(columns),
+                }))
             }
         }
         Ok(())
@@ -180,10 +233,9 @@ impl TableObserver for IndexObserver {
         }
         match self.spec.scheme {
             IndexScheme::SyncFull => {
-                let outcome = maintain::replace_old(cluster, &self.spec, row, None, ts - DELTA)?;
-                if let Err(f) = outcome {
-                    self.auq.enqueue(f.retry);
-                }
+                let old_ts = old_entry_ts(cluster, ts);
+                let entry = maintain::old_entry(cluster, &self.spec, row, None, old_ts)?;
+                self.auq.enqueue_many(maintain::write_entries(cluster, &self.spec, entry).0);
             }
             // The now-stale entry is repaired at read time.
             IndexScheme::SyncInsert => {}

@@ -591,3 +591,254 @@ fn table2_io_costs_match_measured_counters() {
         assert_eq!(d_base.gets, expect.base_read as u64, "{scheme}: base double-checks");
     }
 }
+
+// --- batched index maintenance ------------------------------------------------
+
+type BatchRow = (Bytes, Vec<(Bytes, Bytes)>);
+
+fn titled(row: &str, title: &str) -> BatchRow {
+    (b(row), vec![(b("item_title"), b(title))])
+}
+
+#[test]
+fn put_batch_maintains_the_index_under_every_scheme() {
+    use diff_index_core::verify_index;
+    use std::collections::BTreeMap;
+
+    for scheme in IndexScheme::all() {
+        let (_d, cluster, di) = setup(scheme);
+        // Row keys from '0' to 'z' spread over the four regions.
+        let rows: Vec<String> =
+            (0..16u8).map(|i| format!("{}-row", char::from(b'0' + i * 5))).collect();
+        let servers: std::collections::BTreeSet<_> =
+            rows.iter().map(|r| cluster.server_for_row("item", r.as_bytes()).unwrap()).collect();
+        assert_eq!(servers.len(), 2, "the batch must span regions on both servers");
+        let mut model: BTreeMap<String, String> = BTreeMap::new();
+        let seed: Vec<_> = rows.iter().map(|r| titled(r, "t0")).collect();
+        cluster.put_batch("item", &seed).unwrap();
+        model.extend(rows.iter().map(|r| (r.clone(), "t0".to_string())));
+
+        let mut batch: Vec<BatchRow> = Vec::new();
+        // Updates on both servers.
+        batch.extend(rows[..6].iter().map(|r| titled(r, "t1")));
+        // One row twice in one batch: the second title wins.
+        batch.push(titled(&rows[6], "t2"));
+        batch.push(titled(&rows[6], "t3"));
+        // Rows that do not touch the indexed column: an indexed row keeps
+        // its entry, and a new unindexed row gets none.
+        batch.push((b(&rows[7]), vec![(b("item_price"), b("0099"))]));
+        batch.push((b("zz-price-only"), vec![(b("item_price"), b("0001"))]));
+        // A new row.
+        batch.push(titled("new-row", "t1"));
+        cluster.put_batch("item", &batch).unwrap();
+        model.extend(rows[..6].iter().map(|r| (r.clone(), "t1".to_string())));
+        model.insert(rows[6].clone(), "t3".to_string());
+        model.insert("new-row".to_string(), "t1".to_string());
+        di.quiesce("item");
+
+        let spec = di.index("item", "title").unwrap().spec.clone();
+        let report = verify_index(&cluster, &spec).unwrap();
+        assert_eq!(report.missing_count(), 0, "{scheme}: {report:?}");
+        if scheme != IndexScheme::SyncInsert {
+            assert!(report.is_clean(), "{scheme}: {report:?}");
+        }
+        for title in ["t0", "t1", "t2", "t3"] {
+            let want: Vec<String> =
+                model.iter().filter(|(_, t)| *t == title).map(|(r, _)| r.clone()).collect();
+            let hits = di.get_by_index("item", "title", title.as_bytes(), 100).unwrap();
+            assert_eq!(rows_of(&hits), want, "{scheme}: title = {title}");
+        }
+    }
+}
+
+#[test]
+fn sync_insert_put_batch_writes_one_index_wal_record_per_index_region() {
+    // The layer the batch path moves: a 256-row batch costs each index
+    // region one WAL record and one fsync, not one per row.
+    let dir = TempDir::new("diffidx").unwrap();
+    let lsm = LsmOptions { wal_sync: true, version_retention: u64::MAX, ..LsmOptions::default() };
+    let cluster = Cluster::new(dir.path(), ClusterOptions { num_servers: 2, lsm }).unwrap();
+    cluster.create_table("item", 4).unwrap();
+    let di = DiffIndex::new(cluster.clone());
+    let index_regions = 4;
+    di.create_index(
+        IndexSpec::single("title", "item", "item_title", IndexScheme::SyncInsert),
+        index_regions,
+    )
+    .unwrap();
+    let index_table = di.index("item", "title").unwrap().spec.index_table();
+    // Titles from '0' to 'o' spread the entries over the index regions.
+    let title = |i: u32| format!("{}-title", char::from(b'0' + (i % 64) as u8));
+    let batch: Vec<_> = (0..256u32).map(|i| titled(&format!("row{i:03}"), &title(i))).collect();
+
+    let before = cluster.table_metrics(&index_table).unwrap();
+    cluster.put_batch("item", &batch).unwrap();
+    let d = cluster.table_metrics(&index_table).unwrap() - before;
+    assert_eq!(d.puts, 256, "one index entry per row");
+    assert!(
+        d.wal_appends <= index_regions as u64 && d.wal_fsyncs <= index_regions as u64,
+        "a 256-row batch took {} index WAL records and {} fsyncs",
+        d.wal_appends,
+        d.wal_fsyncs
+    );
+    let hits = di.get_by_index("item", "title", b"0-title", 100).unwrap();
+    assert_eq!(hits.len(), 4);
+}
+
+/// A sync-full index whose observer arms one WAL-append failure just before
+/// each batch's index writes, so exactly one index region group fails.
+struct FailOneIndexGroup(std::sync::Arc<diff_index_core::observers::IndexObserver>);
+
+impl diff_index_cluster::TableObserver for FailOneIndexGroup {
+    fn post_put(
+        &self,
+        cluster: &Cluster,
+        table: &str,
+        row: &[u8],
+        columns: &[(Bytes, Bytes)],
+        ts: u64,
+    ) -> diff_index_cluster::Result<()> {
+        self.0.post_put(cluster, table, row, columns, ts)
+    }
+
+    fn post_delete(
+        &self,
+        cluster: &Cluster,
+        table: &str,
+        row: &[u8],
+        columns: &[Bytes],
+        ts: u64,
+    ) -> diff_index_cluster::Result<()> {
+        self.0.post_delete(cluster, table, row, columns, ts)
+    }
+
+    fn post_put_batch(
+        self: std::sync::Arc<Self>,
+        cluster: &Cluster,
+        table: &str,
+        rows: &[BatchRow],
+        ts: &[u64],
+    ) -> diff_index_cluster::Result<()> {
+        cluster.faults().arm(diff_index_cluster::FaultPoint::WalAppend, 1);
+        std::sync::Arc::clone(&self.0).post_put_batch(cluster, table, rows, ts)
+    }
+}
+
+#[test]
+fn sync_full_put_batch_retries_only_the_failed_index_region_group() {
+    use diff_index_cluster::encoding::row_start;
+    use diff_index_core::encoding::index_row;
+    use diff_index_core::observers::IndexObserver;
+    use diff_index_core::verify_index;
+    use std::sync::Arc;
+
+    let dir = TempDir::new("diffidx").unwrap();
+    let cluster =
+        Cluster::new(dir.path(), ClusterOptions { num_servers: 2, lsm: small_lsm() }).unwrap();
+    cluster.create_table("item", 4).unwrap();
+    let spec = Arc::new(IndexSpec::single("title", "item", "item_title", IndexScheme::SyncFull));
+    cluster.create_table(&spec.index_table(), 4).unwrap();
+    let observer = Arc::new(IndexObserver::new(&cluster, Arc::clone(&spec)));
+    let auq = Arc::clone(observer.auq());
+    cluster.register_observer("item", Arc::new(FailOneIndexGroup(observer))).unwrap();
+
+    // Titles whose first bytes fall in all four index regions.
+    let title = |i: usize, gen: u8| -> Bytes {
+        Bytes::from(vec![(i as u8 % 4) * 0x40 + 0x20, b'-', gen, b'0' + i as u8])
+    };
+    let rows: Vec<Bytes> = (0..8).map(|i| b(&format!("row{i}"))).collect();
+    for (i, row) in rows.iter().enumerate() {
+        cluster.put("item", row, &[(b("item_title"), title(i, b'a'))]).unwrap();
+    }
+    // Hold the retry queue so the retries can be counted before they run.
+    auq.set_stalled(true);
+    let update: Vec<BatchRow> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| (row.clone(), vec![(b("item_title"), title(i, b'b'))]))
+        .collect();
+    let stamps = cluster.put_batch("item", &update).expect("the batch is acked");
+
+    // Each row's SU2 put and SU4 delete, and whether it landed.
+    let index_table = spec.index_table();
+    let present = |key: &Bytes| cluster.get(&index_table, key, b"", u64::MAX).unwrap().is_some();
+    let regions = cluster.region_specs(&index_table).unwrap();
+    let region_of = |key: &Bytes| regions.iter().find(|r| r.contains(&row_start(key))).unwrap().id;
+    let mut lost = Vec::new();
+    let mut landed = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let new = index_row(&[title(i, b'b')], row);
+        let old = index_row(&[title(i, b'a')], row);
+        (if present(&new) { &mut landed } else { &mut lost }).push(region_of(&new));
+        (if present(&old) { &mut lost } else { &mut landed }).push(region_of(&old));
+    }
+    assert!(!lost.is_empty(), "the armed failure must hit one index region group");
+    assert!(lost.iter().all(|r| *r == lost[0]), "only one group fails: {lost:?}");
+    assert!(!landed.contains(&lost[0]), "the failed group fails whole");
+    assert_eq!(auq.depth(), lost.len(), "one retry per entry of the failed group");
+    assert!(stamps.iter().all(|&ts| ts > 0));
+
+    auq.set_stalled(false);
+    auq.wait_idle();
+    let report = verify_index(&cluster, &spec).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+}
+
+#[test]
+fn aps_run_across_index_regions_never_runs_a_queued_flush() {
+    // The APS writes a run's index regions in parallel on the cluster's
+    // fan-out pool while the run counts as in flight. If it ran a queued
+    // job meanwhile — here a base-table flush, whose drain waits for that
+    // very run — it would deadlock.
+    use std::sync::{mpsc, Arc, RwLock};
+    use std::time::Duration;
+
+    let (_d, cluster, di) = setup(IndexScheme::AsyncSimple);
+    let auq = Arc::clone(di.index("item", "title").unwrap().auq());
+    // Occupy every pool worker until the gate opens.
+    let gate = Arc::new(RwLock::new(()));
+    let closed = gate.write().unwrap();
+    let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let workers = cluster.fanout().workers();
+    for _ in 0..workers {
+        let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+        cluster.fanout().spawn(move || {
+            started.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            drop(gate.read().unwrap());
+        });
+    }
+    while started.load(std::sync::atomic::Ordering::SeqCst) < workers {
+        std::thread::yield_now();
+    }
+
+    // A run of updates whose entries fall in all four index regions.
+    auq.set_stalled(true);
+    for i in 0..8u8 {
+        let title = Bytes::from(vec![(i % 4) * 0x40 + 0x20, b'0' + i]);
+        cluster.put("item", format!("row{i}").as_bytes(), &[(b("item_title"), title)]).unwrap();
+    }
+    let (flushed_tx, flushed) = mpsc::channel();
+    let c = cluster.clone();
+    cluster.fanout().spawn(move || {
+        let _ = flushed_tx.send(c.flush_table("item"));
+    });
+    auq.set_stalled(false);
+
+    let (idle_tx, idle) = mpsc::channel();
+    let waiter = Arc::clone(&auq);
+    std::thread::spawn(move || {
+        waiter.wait_idle();
+        let _ = idle_tx.send(());
+    });
+    idle.recv_timeout(Duration::from_secs(20)).expect("the APS run never finished");
+    assert_eq!(auq.metrics().completed.load(std::sync::atomic::Ordering::Relaxed), 8);
+
+    drop(closed);
+    flushed
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the queued flush never finished")
+        .unwrap();
+    let report = diff_index_core::verify_index(&cluster, &di.index("item", "title").unwrap().spec)
+        .unwrap();
+    assert!(report.is_clean(), "{report:?}");
+}

@@ -58,8 +58,8 @@ pub struct FaultPlan {
     armed: Mutex<HashMap<FaultPoint, u64>>,
     /// Sum of `armed`, updated under its lock: the lock-free fast path.
     pending: AtomicU64,
-    /// Sabotage: synchronous index repair reads the pre-image and deletes
-    /// the old entry at `t` instead of `t − δ`.
+    /// Sabotage: old-entry steps read the pre-image and delete the old
+    /// entry at `t` instead of `t − δ`.
     violate_delta: AtomicBool,
     /// Sabotage: epoch fencing accepts stale-epoch and zombie writes.
     disable_fencing: AtomicBool,
@@ -104,11 +104,12 @@ impl FaultPlan {
         self.pending.load(Ordering::Acquire) > 0
     }
 
-    /// Sabotage §4.3: when set, the synchronous repair arm performs its
-    /// pre-image read and old-entry delete at the base timestamp `t`
-    /// instead of `t − δ`. The read-back then observes the *new* value,
-    /// concludes old == new, skips the delete, and leaks the stale
-    /// old-value entry for good.
+    /// Sabotage §4.3: when set, every old-entry step — sync-full's SU3→SU4
+    /// on puts (single or batched) and deletes, and the APS's BA2→BA3 —
+    /// performs its pre-image read and old-entry delete at the base
+    /// timestamp `t` instead of `t − δ`. The read-back then observes the
+    /// *new* value, concludes old == new, skips the delete, and leaks the
+    /// stale old-value entry for good.
     pub fn sabotage_delta(&self, on: bool) {
         self.violate_delta.store(on, Ordering::SeqCst);
     }
