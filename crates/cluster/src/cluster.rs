@@ -538,11 +538,7 @@ impl Cluster {
     /// associated with (§4.3). Writes are grouped by region the way
     /// [`Cluster::put_batch`] groups rows: each region group is **one** WAL
     /// record and memtable apply, and the groups run in parallel on the
-    /// fan-out pool. The caller helps with its own groups only
-    /// ([`FanoutPool::run_isolated`]): an index's background worker writes
-    /// through here while its in-flight work holds back a flush drain, so
-    /// it must never pick up a queued client put that could trigger that
-    /// flush. Each write counts as one `raw_puts` or `raw_deletes`
+    /// fan-out pool. Each write counts as one `raw_puts` or `raw_deletes`
     /// dispatch. A group that fails fails alone; the rest still land.
     pub fn raw_write(&self, table: &str, writes: &[(&[u8], Write<'_>, u64)]) -> FailedGroups {
         /// A region, the input positions routed to it, and their cells.
@@ -569,7 +565,7 @@ impl Cluster {
             .into_values()
             .map(|(region, idxs, cells)| (idxs, move || region.engine.write_batch(&cells)))
             .unzip();
-        for (idxs, written) in idxs.into_iter().zip(self.inner.fanout.run_isolated(tasks)) {
+        for (idxs, written) in idxs.into_iter().zip(self.inner.fanout.run(tasks)) {
             if let Err(e) = written {
                 failed.push((idxs, e.into()));
             }

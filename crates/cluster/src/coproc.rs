@@ -76,7 +76,12 @@ pub trait TableObserver: Send + Sync + 'static {
 
     /// Called immediately before a region of `table` flushes its memtable.
     /// Diff-Index pauses and drains the AUQ here (Figure 5, "1. pause &
-    /// drain") so that `PR(Flushed) = ∅` always holds.
+    /// drain") so that `PR(Flushed) = ∅` always holds. It runs on the
+    /// thread whose write filled the memtable, never on the AUQ's own
+    /// worker: that worker writes only through [`FanoutPool::run`], which
+    /// never runs another caller's queued write.
+    ///
+    /// [`FanoutPool::run`]: crate::FanoutPool::run
     fn pre_flush(&self, cluster: &Cluster, table: &str) {
         let _ = (cluster, table);
     }
@@ -99,7 +104,7 @@ pub trait TableObserver: Send + Sync + 'static {
 
     /// Called when the master opens a §5.3 recovery window (regions of dead
     /// servers are about to be reassigned and replayed). Diff-Index holds
-    /// its AUQ workers here: queued tasks addressed to a dead region would
+    /// its AUQ's worker here: queued tasks addressed to a dead region would
     /// otherwise burn their retry budget against `ServerDown` before the new
     /// owner is ready, and §5.3 requires the AUQ blocked inside the window.
     fn pre_recovery(&self, cluster: &Cluster, table: &str) {

@@ -1,6 +1,6 @@
 //! A small shared fan-out pool for parallelizing independent region
 //! operations: observer dispatch across index specs, SU2 ∥ SU3/SU4 inside a
-//! sync index update, and per-region stages of batched puts.
+//! sync index update, and per-region stages of batched puts and raw writes.
 //!
 //! Why not one thread per task: an indexed put fans out 2–4 sub-operations
 //! that each take tens to hundreds of microseconds, so a ~25 µs thread
@@ -9,18 +9,16 @@
 //!
 //! Deadlock freedom: tasks may themselves fan out (a batched put fans out
 //! per region; each region's observers fan out per spec; each sync update
-//! fans out SU2 vs SU3/SU4). With a bounded pool that nesting can exhaust
-//! every worker, so a blocked [`FanoutPool::run`] caller does not just
-//! park — it **helps**, repeatedly stealing queued tasks (from any batch)
-//! and running them inline until its own batch completes. Progress is
-//! therefore guaranteed even with zero workers.
+//! fans out SU2 vs SU3/SU4). A [`FanoutPool::run`] caller keeps its batch
+//! in its own deque: free workers take tasks from it, and the caller runs
+//! whatever is left itself. It then waits only on tasks another thread is
+//! already running, each of which finishes by the same argument, so
+//! nesting cannot exhaust the pool, even with zero workers.
 //!
-//! Helping has a price: the caller may run *any* queued job, a client
-//! request or another caller's stage included. A thread that must not run
-//! foreign work (one that other jobs may wait for, such as an index's
-//! background worker in the middle of its in-flight work) uses
-//! [`FanoutPool::run_isolated`], which helps only with its own batch. That
-//! is deadlock-free for leaf tasks, which never wait on the pool.
+//! The caller never runs a job outside its own batch, such as a queued
+//! client request or another caller's stage. A thread that other jobs may
+//! be waiting on (an index's background worker in the middle of its
+//! in-flight work, say) can therefore fan out safely.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -67,7 +65,7 @@ impl FanoutPool {
     }
 
     /// Pool with exactly `workers` background threads (0 is legal: every
-    /// task then runs on the threads that call [`FanoutPool::run`]).
+    /// batch then runs on the thread that calls [`FanoutPool::run`]).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -94,9 +92,8 @@ impl FanoutPool {
     /// Submit one job without waiting for its completion — fire-and-forget
     /// dispatch. The network server pipelines per-connection requests this
     /// way: the connection reader thread keeps decoding frames while queued
-    /// requests execute on the pool. Requires a pool with at least one
-    /// worker (the default pool always has ≥ 2); with zero workers the job
-    /// would only run when some [`FanoutPool::run`] caller steals it.
+    /// requests execute on the pool. Only workers run spawned jobs, so a
+    /// zero-worker pool never runs them (the default pool always has ≥ 2).
     pub fn spawn<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
@@ -106,56 +103,10 @@ impl FanoutPool {
     }
 
     /// Run every task, in parallel where workers are free, and return their
-    /// results in task order. The calling thread always executes at least
-    /// one task itself and steals queued work while waiting, so this never
-    /// deadlocks on pool capacity.
+    /// results in task order. The caller runs whatever tasks of this batch
+    /// no worker has taken and never any other queued job, so this
+    /// completes even with every worker busy.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let n = tasks.len();
-        match n {
-            0 => return Vec::new(),
-            1 => {
-                let task = tasks.into_iter().next().expect("one task");
-                return vec![task()];
-            }
-            _ => {}
-        }
-        let batch = Batch::new(n);
-        let mut tasks = tasks.into_iter().enumerate();
-        // Keep the first task for this thread; queue the rest.
-        let (first_idx, first_task) = tasks.next().expect("n >= 2");
-        {
-            let mut queue = self.shared.queue.lock();
-            for (i, task) in tasks {
-                let batch = Arc::clone(&batch);
-                queue.push_back(Box::new(move || batch.execute(i, task)));
-            }
-        }
-        self.shared.work_cv.notify_all();
-        batch.complete(first_idx, first_task());
-
-        // Help until the batch is done: steal any queued job (ours or a
-        // nested batch's — running either makes global progress), parking
-        // only briefly when the queue is empty.
-        while batch.done.load(Ordering::Acquire) < n {
-            let stolen = self.shared.queue.lock().pop_front();
-            match stolen {
-                Some(job) => job(),
-                None => batch.wait_briefly(n),
-            }
-        }
-        batch.take_results()
-    }
-
-    /// [`FanoutPool::run`] for leaf tasks — tasks that never wait on the
-    /// pool themselves — where the caller helps with **only** this batch
-    /// and never runs another queued job. Workers that are free take tasks
-    /// in parallel; the caller takes whatever is left, so this completes
-    /// even with every worker busy.
-    pub fn run_isolated<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
@@ -167,28 +118,17 @@ impl FanoutPool {
         let batch = Batch::new(n);
         let own: Arc<Mutex<VecDeque<(usize, F)>>> =
             Arc::new(Mutex::new(tasks.into_iter().enumerate().collect()));
-        // One claim per task the caller may not get to: a worker running a
-        // claim takes the batch's next unclaimed task, if any is left.
+        // One claim per worker that could help: a worker running a claim
+        // takes this batch's tasks until none is left.
         {
             let mut queue = self.shared.queue.lock();
-            for _ in 1..n {
+            for _ in 0..self.workers.len().min(n - 1) {
                 let (own, batch) = (Arc::clone(&own), Arc::clone(&batch));
-                queue.push_back(Box::new(move || {
-                    let next = own.lock().pop_front();
-                    if let Some((i, task)) = next {
-                        batch.execute(i, task);
-                    }
-                }));
+                queue.push_back(Box::new(move || drain(&own, &batch)));
             }
         }
         self.shared.work_cv.notify_all();
-        loop {
-            let next = own.lock().pop_front();
-            match next {
-                Some((i, task)) => batch.execute(i, task),
-                None => break,
-            }
-        }
+        drain(&own, &batch);
         while batch.done.load(Ordering::Acquire) < n {
             batch.wait_briefly(n);
         }
@@ -244,6 +184,15 @@ impl<T> Batch<T> {
         self.done.fetch_add(1, Ordering::Release);
         let _guard = self.done_mutex.lock();
         self.done_cv.notify_all();
+    }
+}
+
+/// Run `own`'s tasks, recording them in `batch`, until none is left.
+fn drain<T, F: FnOnce() -> T>(own: &Mutex<VecDeque<(usize, F)>>, batch: &Batch<T>) {
+    loop {
+        let next = own.lock().pop_front();
+        let Some((i, task)) = next else { return };
+        batch.execute(i, task);
     }
 }
 
@@ -309,10 +258,19 @@ mod tests {
     }
 
     #[test]
+    fn zero_worker_run_leaves_nothing_queued() {
+        // No worker could take a claim, so a run queues none.
+        let pool = FanoutPool::new(0);
+        pool.run((0..4).map(|i| move || i).collect::<Vec<_>>());
+        assert!(pool.shared.queue.lock().is_empty());
+    }
+
+    #[test]
     fn nested_fanout_does_not_deadlock() {
         let pool = Arc::new(FanoutPool::new(2));
         // Each outer task fans out again; with 2 workers and 4 outer tasks
-        // the inner batches can only finish if blocked callers help.
+        // the inner batches can only finish if each caller runs whatever of
+        // its own batch no worker has taken.
         let outer: Vec<_> = (0..4)
             .map(|i| {
                 let pool = Arc::clone(&pool);
@@ -360,35 +318,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn isolated_run_never_runs_a_foreign_job() {
-        // No workers: a queued foreign job could only run if the caller
-        // stole it.
-        let pool = FanoutPool::new(0);
+    /// A zero-worker pool with one spawned job queued: the job could only
+    /// run if a `run` caller ran a foreign job. Returns the pool and the
+    /// job's run count.
+    fn pool_with_a_queued_foreign_job() -> (Arc<FanoutPool>, Arc<AtomicUsize>) {
+        let pool = Arc::new(FanoutPool::new(0));
         let foreign = Arc::new(AtomicUsize::new(0));
         let hit = Arc::clone(&foreign);
         pool.spawn(move || {
             hit.fetch_add(1, Ordering::SeqCst);
         });
-        let out = pool.run_isolated((0..4).map(|i| move || i * 3).collect::<Vec<_>>());
-        assert_eq!(out, vec![0, 3, 6, 9]);
-        assert_eq!(foreign.load(Ordering::SeqCst), 0, "the caller ran a foreign job");
-        // A stealing run drains the queue: the foreign job, and the
-        // isolated batch's leftover claims (no-ops by now).
-        pool.run(vec![|| (), || ()]);
-        assert_eq!(foreign.load(Ordering::SeqCst), 1);
+        (pool, foreign)
     }
 
     #[test]
-    fn isolated_run_uses_free_workers() {
-        let pool = FanoutPool::new(4);
-        let t0 = std::time::Instant::now();
-        pool.run_isolated(
-            (0..4)
-                .map(|_| move || std::thread::sleep(Duration::from_millis(40)))
-                .collect::<Vec<_>>(),
-        );
-        assert!(t0.elapsed() < Duration::from_millis(120), "took {:?}", t0.elapsed());
+    fn run_never_runs_a_foreign_job() {
+        let (pool, foreign) = pool_with_a_queued_foreign_job();
+        let out = pool.run((0..4).map(|i| move || i * 3).collect::<Vec<_>>());
+        assert_eq!(out, vec![0, 3, 6, 9]);
+        assert_eq!(foreign.load(Ordering::SeqCst), 0, "the caller ran a foreign job");
+    }
+
+    #[test]
+    fn nested_run_never_runs_a_foreign_job() {
+        let (pool, foreign) = pool_with_a_queued_foreign_job();
+        let outer: Vec<_> = (0..2)
+            .map(|i| {
+                let pool = Arc::clone(&pool);
+                move || {
+                    let inner = pool.run((0..3).map(|j| move || i * 10 + j).collect::<Vec<_>>());
+                    inner.into_iter().sum::<i32>()
+                }
+            })
+            .collect();
+        assert_eq!(pool.run(outer), vec![3, 33]);
+        assert_eq!(foreign.load(Ordering::SeqCst), 0, "a nested caller ran a foreign job");
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //!   `PutIndex` / `DeleteIndex` retries, which is how causal consistency
 //!   degrades gracefully to eventual instead of rolling back the base put
 //!   (§6.2, Atomicity/Durability).
+//! * The APS takes the queue in runs of up to `MAX_RUN` tasks of any
+//!   kind: every BA2 read, then all index entries as one write per index
+//!   region. What fails goes back on the queue one attempt older: a task
+//!   whose BA2 read failed whole, and the entries of a failed index region
+//!   as the same `PutIndex` / `DeleteIndex` retries the synchronous
+//!   schemes queue.
 //! * Failure recovery (Figure 5): `pause()` blocks new enqueues, the queue
 //!   is drained before the base memtable flushes (so `PR(Flushed) = ∅`),
 //!   then `resume()` reopens intake after the WAL rolls forward. During WAL
@@ -20,6 +26,7 @@ use crate::spec::IndexSpec;
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ColumnValue, WeakCluster};
 use parking_lot::{Condvar, Mutex};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,9 +38,9 @@ use std::time::Duration;
 /// unavailability window (e.g. a crashed server awaiting recovery).
 const MAX_RETRIES: u32 = 64;
 
-/// Most first-attempt `Maintain` tasks the APS takes as one run: their BA2
-/// reads, then all their BA3 deletes and BA4 puts as one index write per
-/// index region. Bounds the work a flush drain can find in flight.
+/// Most tasks the APS takes as one run: their BA2 reads, then all their
+/// index entries as one index write per index region. Bounds the work a
+/// flush drain can find in flight.
 const MAX_RUN: usize = 256;
 
 /// One unit of deferred index work.
@@ -85,9 +92,6 @@ struct State {
     /// (`PR(Flushed) = ∅`, Figure 5) must hold even mid-chaos, or the base
     /// flush would deadlock behind an injected fault.
     stalled: bool,
-    /// How many tasks at the front of `queue` are the unrun rest of a failed
-    /// run, put back by a wedge: they run one at a time, never as a run.
-    solo: usize,
 }
 
 impl State {
@@ -173,7 +177,6 @@ impl Auq {
                 shutdown: false,
                 held: false,
                 stalled: false,
-                solo: 0,
             }),
             cv: Condvar::new(),
             cluster,
@@ -252,11 +255,6 @@ impl Auq {
         self.cv.notify_all();
     }
 
-    /// True while [`Auq::set_stalled`] has the worker wedged.
-    pub fn is_stalled(&self) -> bool {
-        self.state.lock().stalled
-    }
-
     /// Open a §5.3 recovery window: wedge the worker (queued tasks would
     /// only burn retries against `ServerDown` until the new region owner is
     /// ready) while intake stays open — WAL-replay re-enqueues keep landing
@@ -275,11 +273,6 @@ impl Auq {
         let mut s = self.state.lock();
         s.held = false;
         self.cv.notify_all();
-    }
-
-    /// True while a recovery window holds the worker.
-    pub fn is_held(&self) -> bool {
-        self.state.lock().held
     }
 
     /// Convenience for tests: wait until the queue is empty without pausing
@@ -304,20 +297,20 @@ impl Auq {
         self.cv.notify_all();
     }
 
+    /// The APS: pop up to [`MAX_RUN`] queued tasks of any kind, unless the
+    /// worker is wedged, execute them as one run and settle the run.
     fn aps_loop(&self) {
         loop {
-            let run = {
+            let run: Vec<_> = {
                 let mut s = self.state.lock();
                 loop {
                     if s.shutdown {
                         return;
                     }
-                    if !s.wedged() {
-                        let run = pop_run(&mut s);
-                        if !run.is_empty() {
-                            s.in_flight += run.len();
-                            break run;
-                        }
+                    let n = s.queue.len().min(MAX_RUN);
+                    if n > 0 && !s.wedged() {
+                        s.in_flight += n;
+                        break s.queue.drain(..n).collect();
                     }
                     // Nothing to do; also wake periodically so a cluster
                     // that has gone away lets us exit.
@@ -332,117 +325,107 @@ impl Auq {
                 self.cv.notify_all();
                 return;
             };
-            if run.len() > 1 && self.execute(&cluster, &run).is_ok() {
-                let mut s = self.state.lock();
-                s.in_flight -= run.len();
-                for (task, _) in &run {
-                    self.record_completion(task);
-                }
-                self.cv.notify_all();
-                continue;
-            }
-            // A single task, or a run that failed somewhere: one task at a
-            // time, each with its own retry count and backoff. Writes the
-            // run already landed are re-done idempotently (same timestamps).
-            // A stall or hold set meanwhile stops it before the next task:
-            // the untried rest goes back to the front of the queue, attempts
-            // unchanged, to run one at a time once the wedge lifts.
-            let mut rest = run.into_iter();
-            while rest.len() > 0 {
-                let mut s = self.state.lock();
-                if s.wedged() {
-                    s.in_flight -= rest.len();
-                    s.solo += rest.len();
-                    for item in rest.rev() {
-                        s.queue.push_front(item);
-                    }
-                    self.cv.notify_all();
-                    break;
-                }
-                drop(s);
-                let item = rest.next().expect("rest is not empty");
-                let outcome = self.execute(&cluster, std::slice::from_ref(&item));
-                self.settle(item, outcome);
-            }
+            let ran = run.len();
+            let failed = self.execute(&cluster, run);
+            self.settle(ran, failed);
         }
     }
 
-    fn record_completion(&self, task: &IndexTask) {
-        self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-        if let IndexTask::Maintain { ts, .. } = task {
-            self.metrics.record_lag(wall_ms().saturating_sub(*ts));
-        }
-    }
-
-    /// Account for one executed task: done, queued again for another
-    /// attempt after a backoff, or dropped once out of retries.
-    fn settle(&self, (task, attempts): (IndexTask, u32), outcome: crate::error::Result<()>) {
+    /// Account for a run of `ran` tasks that left `failed`: each failure
+    /// goes back on the queue one attempt older, past a pause (it was
+    /// admitted before the drain began), or is dropped once out of
+    /// attempts. Every task of the run that did not come back whole has
+    /// completed. A run with failures then backs off once.
+    fn settle(&self, ran: usize, failed: Vec<Attempt>) {
         let mut s = self.state.lock();
-        s.in_flight -= 1;
-        match outcome {
-            Ok(()) => self.record_completion(&task),
-            Err(_) if attempts + 1 < MAX_RETRIES => {
-                self.metrics.retries.fetch_add(1, Ordering::Relaxed);
+        s.in_flight -= ran;
+        let m = &self.metrics;
+        let whole = failed.iter().filter(|f| f.whole).count();
+        m.completed.fetch_add((ran - whole) as u64, Ordering::Relaxed);
+        let mut oldest = None;
+        for Attempt { task, attempts, .. } in failed {
+            if attempts + 1 < MAX_RETRIES {
+                m.retries.fetch_add(1, Ordering::Relaxed);
                 s.queue.push_back((task, attempts + 1));
-                // Back off before the next attempt so a transiently
-                // unavailable region (crashed server awaiting master
-                // recovery) gets time to come back. Capped so that a
-                // drain waiting on a doomed task is bounded.
-                let backoff = Duration::from_millis((5u64 << attempts.min(5)).min(150));
-                drop(s);
-                std::thread::sleep(backoff);
-            }
-            Err(_) => {
-                self.metrics.dropped.fetch_add(1, Ordering::Relaxed);
+                oldest = oldest.max(Some(attempts));
+            } else {
+                m.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.cv.notify_all();
+        drop(s);
+        if let Some(attempts) = oldest {
+            // Back off before the next attempt so a transiently unavailable
+            // region (crashed server awaiting master recovery) gets time to
+            // come back. Capped so that a drain waiting on a doomed task is
+            // bounded.
+            std::thread::sleep(Duration::from_millis((5u64 << attempts.min(5)).min(150)));
+        }
     }
 
-    /// Execute tasks against the cluster, all their index writes as one
+    /// Execute a run against the cluster, all its index writes as one
     /// `raw_write`. `Maintain` is Algorithm 4: BA2 read the pre-image, BA3
     /// delete the old index entry, BA4 insert the new one; `PutIndex` and
-    /// `DeleteIndex` are entry writes already. Any failed read or write
-    /// fails the whole call.
-    fn execute(&self, cluster: &Cluster, tasks: &[(IndexTask, u32)]) -> crate::error::Result<()> {
-        let spec = &self.spec;
-        let mut entries = Vec::with_capacity(2 * tasks.len());
-        for (task, _) in tasks {
-            match task {
-                IndexTask::Maintain { row, ts, is_delete, put_columns } => {
-                    let new = if *is_delete {
-                        None
-                    } else {
-                        maintain::values_at(cluster, spec, row, put_columns, *ts)?
-                    };
-                    let old_ts = old_entry_ts(cluster, *ts);
-                    let old = maintain::old_entry(cluster, spec, row, new.as_deref(), old_ts)?;
-                    entries.extend(old);
-                    entries.extend(maintain::new_entry(row, new.as_deref(), *ts));
+    /// `DeleteIndex` are entry writes already. Returns what failed: a
+    /// `Maintain` whose BA2 read failed, whole, and the entries of each
+    /// failed index-region group, as `PutIndex` / `DeleteIndex` (§6.2).
+    /// Records the lag of every `Maintain` whose BA2 read succeeded.
+    fn execute(&self, cluster: &Cluster, run: Vec<(IndexTask, u32)>) -> Vec<Attempt> {
+        let mut failed = Vec::new();
+        let mut entries = Vec::with_capacity(2 * run.len());
+        let mut maintained = Vec::new();
+        for (task, attempts) in run {
+            let IndexTask::Maintain { row, ts, is_delete, put_columns } = &task else {
+                entries.push(Attempt { task, attempts, whole: true });
+                continue;
+            };
+            match self.plan(cluster, row, *ts, *is_delete, put_columns) {
+                Ok(planned) => {
+                    maintained.push(*ts);
+                    entries.extend(planned.map(|task| Attempt { task, attempts, whole: false }));
                 }
-                entry => entries.push(entry.clone()),
+                Err(_) => failed.push(Attempt { task, attempts, whole: true }),
             }
         }
-        maintain::write_entries(cluster, spec, entries).1.map_or(Ok(()), |e| Err(e.into()))
+        failed.extend(maintain::write_entries(cluster, &self.spec, entries));
+        let now = wall_ms();
+        for ts in maintained {
+            self.metrics.record_lag(now.saturating_sub(ts));
+        }
+        failed
+    }
+
+    /// BA2 of one `Maintain` task, and the BA3 delete and BA4 put it plans.
+    fn plan(
+        &self,
+        cluster: &Cluster,
+        row: &[u8],
+        ts: u64,
+        is_delete: bool,
+        put_columns: &[ColumnValue],
+    ) -> crate::error::Result<impl Iterator<Item = IndexTask>> {
+        let spec = &self.spec;
+        let new =
+            if is_delete { None } else { maintain::values_at(cluster, spec, row, put_columns, ts)? };
+        let old = maintain::old_entry(cluster, spec, row, new.as_deref(), old_entry_ts(cluster, ts))?;
+        Ok(old.into_iter().chain(maintain::new_entry(row, new.as_deref(), ts)))
     }
 }
 
-/// Pop the next run: the front task alone if it is the rest of a failed run
-/// ([`State::solo`]), else the longest prefix of first-attempt `Maintain`
-/// tasks, up to [`MAX_RUN`], or else the one task at the front.
-fn pop_run(s: &mut State) -> Vec<(IndexTask, u32)> {
-    let batchable = |item: &(IndexTask, u32)| matches!(item, (IndexTask::Maintain { .. }, 0));
-    let n = if s.solo > 0 {
-        s.solo -= 1;
-        1
-    } else {
-        match s.queue.iter().take(MAX_RUN).position(|item| !batchable(item)) {
-            Some(0) => 1,
-            Some(n) => n,
-            None => s.queue.len().min(MAX_RUN),
-        }
-    };
-    s.queue.drain(..n).collect()
+/// One task's part in a run: the task, or an entry planned from it, with
+/// the task's failed attempts so far.
+struct Attempt {
+    task: IndexTask,
+    attempts: u32,
+    /// True if `task` is the popped task itself, so that its failure puts
+    /// the whole task back.
+    whole: bool,
+}
+
+impl Borrow<IndexTask> for Attempt {
+    fn borrow(&self) -> &IndexTask {
+        &self.task
+    }
 }
 
 impl Drop for Auq {
@@ -635,7 +618,7 @@ mod tests {
     fn stalled_workers_resume_when_cleared() {
         let (_d, cluster, _spec, auq) = setup();
         auq.set_stalled(true);
-        assert!(auq.is_stalled());
+        assert!(auq.state.lock().stalled);
         let ts = cluster.put("base", b"r1", &[(b("name"), b("v"))]).unwrap();
         auq.enqueue(IndexTask::Maintain {
             row: b("r1"),
@@ -717,7 +700,7 @@ mod tests {
     fn recovery_hold_wedges_worker_but_intake_stays_open() {
         let (_d, _cluster, _spec, auq) = setup();
         auq.hold_for_recovery();
-        assert!(auq.is_held());
+        assert!(auq.state.lock().held);
         // Intake stays open inside the recovery window (§5.3 blocks the
         // *processing*, not the WAL-replay re-enqueues).
         auq.enqueue(maintain_task(0));
@@ -725,7 +708,7 @@ mod tests {
         assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 0, "worker held");
         assert_eq!(auq.depth(), 1);
         auq.release_recovery_hold();
-        assert!(!auq.is_held());
+        assert!(!auq.state.lock().held);
         auq.wait_idle();
         assert_eq!(auq.metrics().completed.load(Ordering::Relaxed), 1);
         assert_eq!(auq.metrics().recovery_holds.load(Ordering::Relaxed), 1);
@@ -745,139 +728,145 @@ mod tests {
         auq.release_recovery_hold();
     }
 
-    #[test]
-    fn the_rest_of_a_wedged_run_pops_one_task_at_a_time() {
-        let mut s = State {
-            queue: (0..4).map(|i| (maintain_task(i), 0)).collect(),
-            paused: false,
-            in_flight: 0,
-            shutdown: false,
-            held: false,
-            stalled: false,
-            solo: 2,
-        };
-        let sizes: Vec<usize> = std::iter::from_fn(|| {
-            let run = pop_run(&mut s);
-            (!run.is_empty()).then_some(run.len())
-        })
-        .collect();
-        assert_eq!(sizes, vec![1, 1, 2], "two solo tasks, then a run of the rest");
+    /// A two-server cluster: the base table on server 0, index region 0 on
+    /// server 0 and index region 1 (values from 0x80 up) on server 1. One
+    /// first-attempt `Maintain` task per value, for rows `r00`, `r01`, …,
+    /// is admitted as one run once server `dead` has crashed.
+    fn run_against_a_dead_server(
+        values: &[Bytes],
+        dead: diff_index_cluster::ServerId,
+    ) -> (TempDir, Cluster, Arc<IndexSpec>, Arc<Auq>, Vec<u64>) {
+        let dir = TempDir::new("auq").unwrap();
+        let opts = ClusterOptions { num_servers: 2, ..ClusterOptions::default() };
+        let cluster = Cluster::new(dir.path(), opts).unwrap();
+        cluster.create_table("base", 1).unwrap();
+        let spec = Arc::new(IndexSpec::single("byname", "base", "name", IndexScheme::AsyncSimple));
+        cluster.create_table(&spec.index_table(), 2).unwrap();
+        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
+        let (tasks, ts): (Vec<IndexTask>, Vec<u64>) = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let row = b(&format!("r{i:02}"));
+                let put_columns = vec![(b("name"), v.clone())];
+                let ts = cluster.put("base", &row, &put_columns).unwrap();
+                (IndexTask::Maintain { row, ts, is_delete: false, put_columns }, ts)
+            })
+            .unzip();
+        cluster.crash_server(dead);
+        auq.set_stalled(true);
+        auq.enqueue_many(tasks);
+        auq.set_stalled(false);
+        (dir, cluster, spec, auq, ts)
+    }
+
+    /// Wait until a failed run has requeued its retries and the worker is
+    /// backing off, then stall it there: nothing is in flight and the
+    /// queue holds exactly what the last run put back.
+    fn stall_after_a_failed_run(auq: &Auq) -> parking_lot::MutexGuard<'_, State> {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut s = auq.state.lock();
+            if auq.metrics().retries.load(Ordering::Relaxed) > 0 && s.in_flight == 0 {
+                s.stalled = true;
+                return s;
+            }
+            drop(s);
+            assert!(std::time::Instant::now() < deadline, "no run ever failed");
+            std::thread::yield_now();
+        }
+    }
+
+    fn index_entry(cluster: &Cluster, spec: &IndexSpec, value: &Bytes, row: usize) -> bool {
+        let key = index_row(std::slice::from_ref(value), format!("r{row:02}").as_bytes());
+        cluster.get(&spec.index_table(), &key, b"", u64::MAX).unwrap().is_some()
     }
 
     #[test]
     fn a_wedge_stops_the_rest_of_a_failed_run() {
-        // Base on server 0; every entry indexes into region 1 (server 1).
-        let dir = TempDir::new("auq").unwrap();
-        let opts = ClusterOptions { num_servers: 2, ..ClusterOptions::default() };
-        let cluster = Cluster::new(dir.path(), opts).unwrap();
-        cluster.create_table("base", 1).unwrap();
-        let spec = Arc::new(IndexSpec::single("byname", "base", "name", IndexScheme::AsyncSimple));
-        cluster.create_table(&spec.index_table(), 2).unwrap();
-        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
+        // Every entry indexes into the dead region 1.
         let n = 16;
-        let tasks: Vec<IndexTask> = (0..n)
-            .map(|i| {
-                let row = b(&format!("r{i:02}"));
-                let put_columns = vec![(b("name"), Bytes::from(vec![0x90, b'a' + i as u8]))];
-                let ts = cluster.put("base", &row, &put_columns).unwrap();
-                IndexTask::Maintain { row, ts, is_delete: false, put_columns }
-            })
-            .collect();
-        cluster.crash_server(1);
-
-        // One run of sixteen tasks, all failing. Wedge the worker once the
-        // one-at-a-time fallback has started.
-        auq.set_stalled(true);
-        auq.enqueue_many(tasks);
-        auq.set_stalled(false);
+        let values: Vec<Bytes> = (0..n).map(|i| Bytes::from(vec![0x90, b'a' + i as u8])).collect();
+        let (_d, cluster, spec, auq, _) = run_against_a_dead_server(&values, 1);
         let m = auq.metrics();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while m.retries.load(Ordering::Relaxed) == 0 {
-            assert!(std::time::Instant::now() < deadline, "the run never failed");
-            std::thread::yield_now();
-        }
-        auq.set_stalled(true);
-        // Every failing attempt backs off 5 ms; a worker that ignored the
-        // wedge would go through all sixteen within this sleep.
+        let s = stall_after_a_failed_run(&auq);
+        // Each run put all sixteen entries back, one attempt older.
+        let tried = m.retries.load(Ordering::Relaxed);
+        let runs = tried / n as u64;
+        assert_eq!(tried, runs * n as u64);
+        assert_eq!(s.queue.len(), n);
+        assert!(s
+            .queue
+            .iter()
+            .all(|(task, attempts)| matches!(task, IndexTask::PutIndex { .. })
+                && u64::from(*attempts) == runs));
+        drop(s);
+        // Every failing run backs off 5-10 ms; a worker that ignored the
+        // wedge would run again within this sleep.
         std::thread::sleep(Duration::from_millis(300));
-        let tried = m.retries.load(Ordering::Relaxed) as usize;
-        assert!(tried < n, "the fallback ran on while wedged ({tried} attempts)");
-        {
-            let s = auq.state.lock();
-            assert_eq!((s.in_flight, s.queue.len(), s.solo), (0, n, n - tried));
-            // The untried rest is at the front with its attempts unchanged.
-            assert!(s.queue.iter().take(n - tried).all(|(_, attempts)| *attempts == 0));
-        }
-        assert_eq!(m.retries.load(Ordering::Relaxed) as usize, tried, "no attempt while wedged");
+        assert_eq!(m.retries.load(Ordering::Relaxed), tried, "no attempt while wedged");
+        assert_eq!(auq.state.lock().in_flight, 0);
 
         cluster.recover().unwrap();
         auq.set_stalled(false);
         auq.wait_idle();
-        assert_eq!(m.completed.load(Ordering::Relaxed) as usize, n);
+        // The sixteen Maintain tasks, then the sixteen entries they left.
+        assert_eq!(m.completed.load(Ordering::Relaxed) as usize, 2 * n);
         assert_eq!(m.dropped.load(Ordering::Relaxed), 0);
+        assert!((0..n).all(|i| index_entry(&cluster, &spec, &values[i], i)));
     }
 
     #[test]
     fn a_failing_task_leaves_the_rest_of_its_run_to_complete_first_time() {
-        // Base on server 0; index regions 0 (server 0) and 1 (server 1).
-        let dir = TempDir::new("auq").unwrap();
-        let opts = ClusterOptions { num_servers: 2, ..ClusterOptions::default() };
-        let cluster = Cluster::new(dir.path(), opts).unwrap();
-        cluster.create_table("base", 1).unwrap();
-        let spec = Arc::new(IndexSpec::single("byname", "base", "name", IndexScheme::AsyncSimple));
-        cluster.create_table(&spec.index_table(), 2).unwrap();
-        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
-        // Values below 0x80 index into region 0; the last one into region 1.
+        // Values below 0x80 index into region 0; the last one into the dead
+        // region 1.
         let values: Vec<Bytes> = (0..5u8)
             .map(|i| Bytes::from(vec![if i == 4 { 0x90 } else { b'a' + i }, b'v']))
             .collect();
-        let tasks: Vec<IndexTask> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let row = b(&format!("r{i}"));
-                let put_columns = vec![(b("name"), v.clone())];
-                let ts = cluster.put("base", &row, &put_columns).unwrap();
-                IndexTask::Maintain { row, ts, is_delete: false, put_columns }
-            })
-            .collect();
-        cluster.crash_server(1);
-
-        // One run of five first-attempt tasks.
-        auq.set_stalled(true);
-        auq.enqueue_many(tasks);
-        auq.set_stalled(false);
+        let (_d, cluster, spec, auq, ts) = run_against_a_dead_server(&values, 1);
         let m = auq.metrics();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            // Every retry so far is the failing task's own: its count
-            // advances once per attempt.
-            let s = auq.state.lock();
-            let retried = m.retries.load(Ordering::Relaxed) > 0;
-            if let Some((IndexTask::Maintain { row, .. }, attempts)) =
-                s.queue.front().filter(|_| retried)
-            {
-                assert_eq!(row, &b("r4"));
-                assert_eq!(*attempts as u64, m.retries.load(Ordering::Relaxed));
-                if *attempts >= 3 {
-                    break;
-                }
-            }
-            drop(s);
-            assert!(std::time::Instant::now() < deadline, "the failing task never retried");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(m.completed.load(Ordering::Relaxed), 4, "the others finish first time");
-        for (i, v) in values.iter().take(4).enumerate() {
-            let key = index_row(std::slice::from_ref(v), format!("r{i}").as_bytes());
-            assert!(cluster.get(&spec.index_table(), &key, b"", u64::MAX).unwrap().is_some());
+        {
+            // Only r04's entry came back, as a `PutIndex` retry: every retry
+            // so far is its own, one per failed run.
+            let s = stall_after_a_failed_run(&auq);
+            let dead = IndexTask::PutIndex { index_row: index_row(&values[4..], b"r04"), ts: ts[4] };
+            let retries = m.retries.load(Ordering::Relaxed) as u32;
+            assert_eq!(s.queue.iter().cloned().collect::<Vec<_>>(), vec![(dead, retries)]);
+            // The five tasks ran once each; the healthy four landed.
+            assert_eq!(m.completed.load(Ordering::Relaxed), 5);
+            assert!((0..4).all(|i| index_entry(&cluster, &spec, &values[i], i)));
         }
 
         cluster.recover().unwrap();
+        auq.set_stalled(false);
         auq.wait_idle();
-        assert_eq!(m.completed.load(Ordering::Relaxed), 5);
+        assert_eq!(m.completed.load(Ordering::Relaxed), 6, "the five tasks and r04's entry");
         assert_eq!(m.dropped.load(Ordering::Relaxed), 0);
-        let key = index_row(&values[4..], b"r4");
-        assert!(cluster.get(&spec.index_table(), &key, b"", u64::MAX).unwrap().is_some());
+        assert!(index_entry(&cluster, &spec, &values[4], 4));
+    }
+
+    #[test]
+    fn a_failed_pre_image_read_puts_the_whole_task_back() {
+        // The base region is on the dead server 0: every BA2 read fails.
+        let values: Vec<Bytes> = (0..4u8).map(|i| Bytes::from(vec![b'a' + i, 0x90])).collect();
+        let (_d, cluster, spec, auq, ts) = run_against_a_dead_server(&values, 0);
+        let m = auq.metrics();
+        {
+            let s = stall_after_a_failed_run(&auq);
+            let retries = m.retries.load(Ordering::Relaxed);
+            assert_eq!(s.queue.len(), values.len());
+            for (i, (task, attempts)) in s.queue.iter().enumerate() {
+                assert!(matches!(task, IndexTask::Maintain { ts: t, .. } if *t == ts[i]));
+                assert_eq!(u64::from(*attempts) * values.len() as u64, retries);
+            }
+            assert_eq!(m.completed.load(Ordering::Relaxed), 0);
+        }
+
+        cluster.recover().unwrap();
+        auq.set_stalled(false);
+        auq.wait_idle();
+        assert_eq!(m.completed.load(Ordering::Relaxed), values.len() as u64);
+        assert_eq!(m.dropped.load(Ordering::Relaxed), 0);
+        assert!((0..values.len()).all(|i| index_entry(&cluster, &spec, &values[i], i)));
     }
 }

@@ -28,9 +28,9 @@ use crate::error::Result;
 use crate::spec::IndexSpec;
 use crate::store::Store;
 use bytes::Bytes;
-use diff_index_cluster::{Cluster, ClusterError, ColumnValue, Result as ClusterResult, Write};
+use diff_index_cluster::{Cluster, ColumnValue, Result as ClusterResult, Write};
 use diff_index_lsm::{VersionedValue, DELTA};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 /// The one empty column every key-only index entry is put with ...
 static ENTRY_PUT: [ColumnValue; 1] = [(Bytes::new(), Bytes::new())];
@@ -149,22 +149,20 @@ pub(crate) fn old_entry(
 /// Write planned entries (from [`new_entry`] / [`old_entry`]) as one
 /// `Cluster::raw_write` on the index table: one WAL record per index
 /// region, the regions in parallel. Returns the entries of the region
-/// groups that failed — they are their own AUQ retries (§6.2) — and the
-/// first error; the other groups have landed.
-pub(crate) fn write_entries(
+/// groups that failed, which are their own AUQ retries (§6.2); the other
+/// groups have landed. An entry may travel with data of the caller's (the
+/// APS keeps its attempt count beside it), which comes back with it.
+pub(crate) fn write_entries<E: Borrow<IndexTask>>(
     cluster: &Cluster,
     spec: &IndexSpec,
-    entries: impl IntoIterator<Item = IndexTask>,
-) -> (Vec<IndexTask>, Option<ClusterError>) {
-    let entries: Vec<_> = entries.into_iter().collect();
-    let writes: Vec<_> = entries.iter().map(entry_write).collect();
-    let mut failed_groups = cluster.raw_write(&spec.index_table(), &writes).into_iter();
-    let Some((first, error)) = failed_groups.next() else { return (Vec::new(), None) };
+    entries: impl IntoIterator<Item = E>,
+) -> Vec<E> {
+    let entries: Vec<E> = entries.into_iter().collect();
+    let writes: Vec<_> = entries.iter().map(|e| entry_write(e.borrow())).collect();
+    let failed = cluster.raw_write(&spec.index_table(), &writes);
+    if failed.is_empty() {
+        return Vec::new();
+    }
     let mut entries: Vec<_> = entries.into_iter().map(Some).collect();
-    let retries = first
-        .into_iter()
-        .chain(failed_groups.flat_map(|(idxs, _)| idxs))
-        .filter_map(|i| entries[i].take())
-        .collect();
-    (retries, Some(error))
+    failed.into_iter().flat_map(|(idxs, _)| idxs).filter_map(|i| entries[i].take()).collect()
 }

@@ -76,14 +76,14 @@ impl IndexObserver {
                 (cluster.clone(), Arc::clone(&self.spec), row.clone(), new.clone());
             Box::new(move || {
                 let entry = maintain::new_entry(&row, new.as_deref(), ts);
-                Ok(maintain::write_entries(&cluster, &spec, entry).0)
+                Ok(maintain::write_entries(&cluster, &spec, entry))
             })
         };
         let su3_su4: Arm = {
             let (cluster, spec) = (cluster.clone(), Arc::clone(&self.spec));
             Box::new(move || {
                 let entry = maintain::old_entry(&cluster, &spec, &row, new.as_deref(), old_ts)?;
-                Ok(maintain::write_entries(&cluster, &spec, entry).0)
+                Ok(maintain::write_entries(&cluster, &spec, entry))
             })
         };
         let arms = vec![su2, su3_su4];
@@ -141,7 +141,7 @@ impl IndexObserver {
             }
             entries.extend(maintain::new_entry(row, new.as_deref(), ts));
         }
-        self.auq.enqueue_many(maintain::write_entries(cluster, &self.spec, entries).0);
+        self.auq.enqueue_many(maintain::write_entries(cluster, &self.spec, entries));
         first_err.map_or(Ok(()), Err)
     }
 
@@ -235,7 +235,7 @@ impl TableObserver for IndexObserver {
             IndexScheme::SyncFull => {
                 let old_ts = old_entry_ts(cluster, ts);
                 let entry = maintain::old_entry(cluster, &self.spec, row, None, old_ts)?;
-                self.auq.enqueue_many(maintain::write_entries(cluster, &self.spec, entry).0);
+                self.auq.enqueue_many(maintain::write_entries(cluster, &self.spec, entry));
             }
             // The now-stale entry is repaired at read time.
             IndexScheme::SyncInsert => {}
