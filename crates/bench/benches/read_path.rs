@@ -5,11 +5,14 @@
 //! pays off end to end. `engine_get_cold`, `crc32_4k` and
 //! `block_decode_4k` cover the miss path: a get whose block must be read,
 //! checksummed, decoded and cached, evicting another.
+//! `small_column_get_{ungrouped,grouped}` read one small column of rows
+//! whose table is twice the cache, with and without that column in an
+//! SSTable of its own (a column group).
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use diff_index_lsm::util::{crc32, put_len_prefixed, put_u32, put_varint};
-use diff_index_lsm::{Block, BlockCache, Cell, CellKind, LsmOptions, LsmTree};
+use diff_index_lsm::{Block, BlockCache, Cell, CellKind, KeyGroups, LsmOptions, LsmTree};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -59,6 +62,51 @@ fn table_bytes(dir: &TempDir) -> usize {
         .filter(|p| p.extension().is_some_and(|x| x == "sst"))
         .map(|p| std::fs::metadata(p).unwrap().len() as usize)
         .sum()
+}
+
+const ROWS: u64 = 20_000;
+
+fn title_key(id: u64) -> Bytes {
+    Bytes::from(format!("row{id:08}/title"))
+}
+
+/// `ROWS` rows of a ~20 B title cell next to a 1 KiB filler cell, like the
+/// `item` table, flushed into one run; with `grouped` the titles are a
+/// column group of their own. Reopened under a block cache of half the
+/// table bytes, and warmed by reading every title.
+fn build_rows(dir: &TempDir, grouped: bool) -> LsmTree {
+    let path = dir.path().join(if grouped { "grouped" } else { "ungrouped" });
+    let opts = |cache_bytes| LsmOptions {
+        block_cache: Some(Arc::new(BlockCache::new(cache_bytes))),
+        memtable_flush_bytes: usize::MAX,
+        compaction_trigger: 0,
+        ..LsmOptions::default()
+    };
+    let table_bytes = {
+        let tree = LsmTree::open(&path, opts(1 << 20)).unwrap();
+        if grouped {
+            tree.set_groups_hook(Box::new(|| {
+                Some(Arc::new(|k: &[u8]| usize::from(k.ends_with(b"/title"))) as KeyGroups)
+            }));
+        }
+        for id in 0..ROWS {
+            let filler = Cell::put(format!("row{id:08}/filler"), 1, vec![b'f'; 1024]);
+            let title = Cell::put(title_key(id), 1, format!("title{:08}", id % 1000));
+            tree.write_batch(&[filler, title]).unwrap();
+        }
+        tree.flush().unwrap();
+        std::fs::read_dir(&path)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .map(|p| std::fs::metadata(p).unwrap().len() as usize)
+            .sum::<usize>()
+    };
+    let tree = LsmTree::open(&path, opts(table_bytes / 2)).unwrap();
+    for id in 0..ROWS {
+        tree.get_latest(&title_key(id)).unwrap();
+    }
+    tree
 }
 
 fn bench_read_path(c: &mut Criterion) {
@@ -123,6 +171,22 @@ fn bench_read_path(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // One small column of rows twice the cache: a mixed table shares each
+    // title's block with filler and mostly misses; a column group keeps
+    // every title block cached.
+    let rows_dir = TempDir::new("bench-read-path-rows").unwrap();
+    for grouped in [false, true] {
+        let tree = build_rows(&rows_dir, grouped);
+        let name = if grouped { "small_column_get_grouped" } else { "small_column_get_ungrouped" };
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || title_key(rng.random_range(0..ROWS)),
+                |k| black_box(tree.get_latest(&k).unwrap()),
+                BatchSize::SmallInput,
+            )
+        });
+    }
 
     // One checksum over a block-sized buffer, as every cache miss pays.
     let buf: Vec<u8> = (0..4096).map(|_| rng.random_range(0..256u64) as u8).collect();

@@ -10,14 +10,16 @@
 
 use crate::clock::TimestampOracle;
 use crate::coproc::{ColumnValue, TableObserver};
-use crate::encoding::{cell_key, decode_cell_key, escape_no_term, prefix_end, row_end, row_start};
+use crate::encoding::{
+    cell_key, column_of, decode_cell_key, escape_no_term, prefix_end, row_end, row_start,
+};
 use crate::error::{ClusterError, Result};
 use crate::fanout::FanoutPool;
 use crate::keyspace::{PartitionMap, RegionId, RegionSpec, ServerId};
 use bytes::Bytes;
 use diff_index_lsm::{
-    Cell, CellKind, FaultPlan, FaultPoint, FlushHook, LsmOptions, LsmTree, MetricsSnapshot,
-    VersionedValue,
+    Cell, CellKind, FaultPlan, FaultPoint, FlushHook, KeyGroups, LsmOptions, LsmTree,
+    MetricsSnapshot, VersionedValue,
 };
 use parking_lot::RwLock;
 use std::borrow::Cow;
@@ -191,6 +193,9 @@ struct Inner {
     /// network server of this cluster; unarmed (and free) in production.
     faults: Arc<FaultPlan>,
     recovery: RecoveryCounters,
+    /// Per table, the columns its region engines write to SSTables of
+    /// their own (see [`Cluster::group_columns`]).
+    column_groups: RwLock<HashMap<String, Arc<[Bytes]>>>,
 }
 
 /// Handle to the cluster; cheap to clone, shared with coprocessors.
@@ -272,6 +277,7 @@ impl Cluster {
                 fanout: FanoutPool::new_default(),
                 faults: Arc::default(),
                 recovery: RecoveryCounters::default(),
+                column_groups: RwLock::new(HashMap::new()),
             }),
         })
     }
@@ -339,8 +345,30 @@ impl Cluster {
         };
         engine.add_pre_flush_hook(hook(|obs, cluster, t| obs.pre_flush(cluster, t)));
         engine.add_post_flush_hook(hook(|obs, cluster, t| obs.post_flush(cluster, t)));
+        // Each flush and compaction reads the table's grouped columns anew.
+        let (weak, t) = (Arc::downgrade(&self.inner), table.to_string());
+        engine.set_groups_hook(Box::new(move || {
+            let grouped = Arc::clone(weak.upgrade()?.column_groups.read().get(&t)?);
+            Some(Arc::new(move |key: &[u8]| {
+                usize::from(column_of(key).is_some_and(|c| grouped.iter().any(|g| g[..] == *c)))
+            }) as KeyGroups)
+        }));
         let region = Region { spec, engine, write_lock: parking_lot::Mutex::new(()) };
         Ok((Arc::new(region), replayed))
+    }
+
+    /// Keep `columns` of `table` in a column group of their own. From the
+    /// next flush or compaction on, every region engine of `table` writes
+    /// their cells to separate SSTables, so a read of them shares blocks
+    /// only with other grouped cells; tables already written are split at
+    /// their next compaction. Calls add to one group. Diff-Index groups
+    /// the indexed columns of each index, the columns its base checks read.
+    pub fn group_columns(&self, table: &str, columns: &[Bytes]) {
+        let mut groups = self.inner.column_groups.write();
+        let grouped = groups.entry(table.to_string()).or_default();
+        let mut all = grouped.to_vec();
+        all.extend(columns.iter().filter(|c| !grouped.contains(c)).cloned());
+        *grouped = all.into();
     }
 
     /// Attach a coprocessor-style observer to `table`, returning a token

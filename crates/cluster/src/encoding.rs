@@ -107,6 +107,20 @@ pub fn decode_cell_key(key: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
     Some((row, key[used..].to_vec()))
 }
 
+/// The column of a cell key: the bytes after its row part, found without
+/// decoding the row. `None` on malformed input.
+pub fn column_of(key: &[u8]) -> Option<&[u8]> {
+    let mut i = 0;
+    loop {
+        i += key[i..].iter().position(|&b| b == 0)?;
+        match *key.get(i + 1)? {
+            0 => return Some(&key[i + 2..]), // terminator
+            1 => i += 2,
+            _ => return None,
+        }
+    }
+}
+
 /// Start of the cell-key range covering every column of `row`.
 pub fn row_start(row: &[u8]) -> Bytes {
     encode_one(row)
@@ -193,6 +207,17 @@ mod tests {
         // Rows with embedded zero bytes stay unambiguous:
         let k = cell_key(b"r\x00w", b"c");
         assert_eq!(decode_cell_key(&k).unwrap(), (b"r\x00w".to_vec(), b"c".to_vec()));
+    }
+
+    #[test]
+    fn column_of_agrees_with_decode() {
+        let cases: [(&[u8], &[u8]); 4] =
+            [(b"row1", b"colA"), (b"r\x00w", b"c\x00"), (b"", b""), (b"\x00", b"x")];
+        for (row, col) in cases {
+            assert_eq!(column_of(&cell_key(row, col)), Some(col));
+        }
+        assert!(column_of(b"abc").is_none(), "missing terminator");
+        assert!(column_of(b"a\x00\x05b\x00\x00c").is_none(), "bad escape");
     }
 
     #[test]

@@ -114,8 +114,12 @@ pub struct AuqMetrics {
     pub retries: AtomicU64,
     /// Tasks dropped after exhausting retries.
     pub dropped: AtomicU64,
-    /// Sum of (completion wall time − base timestamp) in ms.
+    /// Sum of (completion wall time − base timestamp) in ms, one sample
+    /// per `Maintain` task whose pre-image read succeeded.
     pub lag_sum_ms: AtomicU64,
+    /// Lag samples in `lag_sum_ms`. Retried entry writes complete without
+    /// one, so this can be less than `completed`.
+    pub lag_samples: AtomicU64,
     /// Maximum observed lag in ms.
     pub lag_max_ms: AtomicU64,
     /// Synchronous index updates whose SU2 (new-entry put) and SU3/SU4
@@ -131,13 +135,14 @@ pub struct AuqMetrics {
 
 impl AuqMetrics {
     fn record_lag(&self, lag_ms: u64) {
+        self.lag_samples.fetch_add(1, Ordering::Relaxed);
         self.lag_sum_ms.fetch_add(lag_ms, Ordering::Relaxed);
         self.lag_max_ms.fetch_max(lag_ms, Ordering::Relaxed);
     }
 
-    /// Mean index-after-data lag over completed `Maintain` tasks, in ms.
+    /// Mean index-after-data lag over the lag samples, in ms.
     pub fn mean_lag_ms(&self) -> f64 {
-        let n = self.completed.load(Ordering::Relaxed);
+        let n = self.lag_samples.load(Ordering::Relaxed);
         if n == 0 {
             return 0.0;
         }
@@ -832,8 +837,10 @@ mod tests {
             let dead = IndexTask::PutIndex { index_row: index_row(&values[4..], b"r04"), ts: ts[4] };
             let retries = m.retries.load(Ordering::Relaxed) as u32;
             assert_eq!(s.queue.iter().cloned().collect::<Vec<_>>(), vec![(dead, retries)]);
-            // The five tasks ran once each; the healthy four landed.
+            // The five tasks ran once each; the healthy four landed. All
+            // five read their pre-image, so all five carry a lag sample.
             assert_eq!(m.completed.load(Ordering::Relaxed), 5);
+            assert_eq!(m.lag_samples.load(Ordering::Relaxed), 5);
             assert!((0..4).all(|i| index_entry(&cluster, &spec, &values[i], i)));
         }
 
@@ -841,6 +848,11 @@ mod tests {
         auq.set_stalled(false);
         auq.wait_idle();
         assert_eq!(m.completed.load(Ordering::Relaxed), 6, "the five tasks and r04's entry");
+        // The retried entry completed without a lag sample: the mean is
+        // over the five samples, not the six completions.
+        assert_eq!(m.lag_samples.load(Ordering::Relaxed), 5);
+        let mean = m.lag_sum_ms.load(Ordering::Relaxed) as f64 / 5.0;
+        assert_eq!(m.mean_lag_ms(), mean);
         assert_eq!(m.dropped.load(Ordering::Relaxed), 0);
         assert!(index_entry(&cluster, &spec, &values[4], 4));
     }

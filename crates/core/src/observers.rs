@@ -43,8 +43,12 @@ pub type AsyncObserver = IndexObserver;
 
 impl IndexObserver {
     /// Build the observer and its AUQ for `spec`: the APS for the async
-    /// schemes, the failure-retry queue for the sync ones.
+    /// schemes, the failure-retry queue for the sync ones. Also puts the
+    /// indexed columns in the base table's column group, so the base
+    /// reads of every scheme (SU3, BA2, the sync-insert check) read small
+    /// SSTables that stay in the block cache.
     pub fn new(cluster: &Cluster, spec: Arc<IndexSpec>) -> Self {
+        cluster.group_columns(&spec.base_table, &spec.columns);
         let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
         Self { spec, auq }
     }

@@ -20,6 +20,16 @@
 //! held. Compaction likewise merges a private clone of the table stack.
 //! This mirrors RocksDB's "superversion" scheme.
 //!
+//! ## Column groups
+//!
+//! The owner may sort keys into *column groups* ([`LsmTree::set_groups_hook`]).
+//! The tree still has one memtable and one WAL; only flush and compaction
+//! change: each writes one SSTable per non-empty group, so a group's cells
+//! share blocks only with each other. Reads need no change: a point get
+//! skips the other groups' tables on their bloom filters, and scans merge
+//! every table as before. The tables one flush or compaction writes form
+//! one *run*, and the compaction trigger counts runs, not files.
+//!
 //! ## Write-path concurrency (group commit)
 //!
 //! A write is split into *staging* and *durability*. [`LsmTree::stage_batch`]
@@ -44,12 +54,13 @@ use crate::faults::{injected_error, FaultPlan, FaultPoint};
 use crate::memtable::MemTable;
 use crate::merge::{MergeIter, VisibleIter};
 use crate::metrics::Metrics;
-use crate::sstable::{Table, TableBuilder, TableOptions};
+use crate::sstable::{Table, TableBuilder, TableIter, TableOptions};
 use crate::types::{Cell, CellKind, InternalKey, LsmError, Result, Timestamp, VersionedValue};
 use crate::wal::{replay, WalWriter};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::cell::RefCell;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -100,6 +111,14 @@ impl std::fmt::Debug for LsmOptions {
 /// hook that pauses and drains the AUQ (the paper's Figure 5: "1. pause &
 /// drain" happens before "2. flush" and "3. roll forward").
 pub type FlushHook = Box<dyn Fn() + Send + Sync>;
+
+/// The column group of a user key. Flush and compaction write the cells of
+/// each group to their own SSTable.
+pub type KeyGroups = Arc<dyn Fn(&[u8]) -> usize + Send + Sync>;
+
+/// Asked at the start of every flush and compaction for the [`KeyGroups`]
+/// to write by; `None` writes every cell to one table.
+pub type GroupsHook = Box<dyn Fn() -> Option<KeyGroups> + Send + Sync>;
 
 /// A memtable handle shared between the write path and snapshots. Only the
 /// snapshot's *active* handle is ever written to; frozen handles are
@@ -161,11 +180,13 @@ pub struct LsmTree {
     write_state: Mutex<WriteState>,
     durability: Mutex<DurabilityState>,
     durable_cv: Condvar,
-    /// Serializes flush/compaction against each other.
-    maintenance: Mutex<()>,
+    /// Serializes flush/compaction against each other. Guards the number
+    /// of runs in the table stack: the compaction trigger's count.
+    maintenance: Mutex<usize>,
     metrics: Arc<Metrics>,
     pre_flush_hooks: RwLock<Vec<FlushHook>>,
     post_flush_hooks: RwLock<Vec<FlushHook>>,
+    groups_hook: RwLock<Option<GroupsHook>>,
     /// Fault plan consulted at the WAL append and fsync crash points;
     /// shared with the owning cluster, unarmed in production.
     faults: Arc<FaultPlan>,
@@ -181,15 +202,14 @@ fn wal_path(dir: &Path, no: u64) -> PathBuf {
     dir.join(format!("wal-{no:010}.log"))
 }
 
-/// `table`'s cells from `seek` on, for a merge. A block that cannot be
-/// read ends the stream and parks its error in `failed` (the first one
-/// wins); the caller must check it once the merge is consumed.
+/// A table iterator's cells, for a merge. A block that cannot be read ends
+/// the stream and parks its error in `failed` (the first one wins); the
+/// caller must check it once the merge is consumed.
 fn table_cells<'a>(
-    table: &'a Table,
-    seek: Option<&InternalKey>,
+    cells: TableIter<'a>,
     failed: &'a RefCell<Option<LsmError>>,
 ) -> impl Iterator<Item = Cell> + 'a {
-    table.iter_from(seek).map_while(move |cell| {
+    cells.map_while(move |cell| {
         cell.map_err(|e| {
             failed.borrow_mut().get_or_insert(e);
         })
@@ -199,6 +219,59 @@ fn table_cells<'a>(
 
 fn table_path(dir: &Path, no: u64) -> PathBuf {
     dir.join(format!("{no:010}.sst"))
+}
+
+/// One run being written: a sorted cell stream split into one SSTable per
+/// non-empty column group, each created on its group's first cell.
+struct RunWriter<'a> {
+    tree: &'a LsmTree,
+    groups: Option<KeyGroups>,
+    builders: BTreeMap<usize, (u64, TableBuilder)>,
+}
+
+impl<'a> RunWriter<'a> {
+    fn new(tree: &'a LsmTree) -> Self {
+        let groups = tree.groups_hook.read().as_ref().and_then(|hook| hook());
+        Self { tree, groups, builders: BTreeMap::new() }
+    }
+
+    fn add(&mut self, cell: &Cell) -> Result<()> {
+        let group = self.groups.as_ref().map_or(0, |groups| groups(&cell.key.user_key));
+        let builder = match self.builders.entry(group) {
+            Entry::Occupied(e) => &mut e.into_mut().1,
+            Entry::Vacant(e) => {
+                let no = self.tree.next_file_no();
+                let path = table_path(&self.tree.dir, no);
+                &mut e.insert((no, TableBuilder::create(path, self.tree.opts.table.clone())?)).1
+            }
+        };
+        builder.add(cell)
+    }
+
+    /// Finish and open every table of the run; also returns the bytes
+    /// written.
+    fn finish(self) -> Result<(Vec<Arc<Table>>, u64)> {
+        let mut tables = Vec::with_capacity(self.builders.len());
+        let mut bytes = 0;
+        for (no, builder) in self.builders.into_values() {
+            let path = builder.path().to_path_buf();
+            bytes += builder.finish()?.file_size;
+            tables.push(Arc::new(
+                Table::open(path, no, self.tree.opts.block_cache.clone())?
+                    .with_metrics(Arc::clone(&self.tree.metrics)),
+            ));
+        }
+        Ok((tables, bytes))
+    }
+
+    /// Delete the run's partly written files.
+    fn abandon(self) {
+        for (_, builder) in self.builders.into_values() {
+            let path = builder.path().to_path_buf();
+            drop(builder);
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 impl LsmTree {
@@ -269,6 +342,10 @@ impl LsmTree {
             std::fs::remove_file(wal_path(&dir, no))?;
         }
 
+        // Which manifest tables one run wrote is not recorded, so each
+        // counts as a run of its own: a grouped tree may compact early once
+        // after a reopen, never late.
+        let runs = tables.len();
         let tree = Self {
             dir,
             opts,
@@ -286,10 +363,11 @@ impl LsmTree {
             }),
             durability: Mutex::new(DurabilityState { durable_seq: 0, syncing: false }),
             durable_cv: Condvar::new(),
-            maintenance: Mutex::new(()),
+            maintenance: Mutex::new(runs),
             metrics,
             pre_flush_hooks: RwLock::new(Vec::new()),
             post_flush_hooks: RwLock::new(Vec::new()),
+            groups_hook: RwLock::new(None),
             faults,
         };
         Ok((tree, replayed))
@@ -313,6 +391,20 @@ impl LsmTree {
     /// Register a hook that runs immediately after each memtable flush.
     pub fn add_post_flush_hook(&self, hook: FlushHook) {
         self.post_flush_hooks.write().push(hook);
+    }
+
+    /// Install the hook flush and compaction ask for the column groups to
+    /// split their output by (see the module docs). Replaces any earlier
+    /// hook. Tables already written keep their cells until compacted.
+    pub fn set_groups_hook(&self, hook: GroupsHook) {
+        *self.groups_hook.write() = Some(hook);
+    }
+
+    /// Allocate a file number (table or WAL segment).
+    fn next_file_no(&self) -> u64 {
+        let mut ws = self.write_state.lock();
+        ws.next_file_no += 1;
+        ws.next_file_no - 1
     }
 
     /// Clone the current snapshot `Arc`. The lock protects only the pointer
@@ -572,7 +664,7 @@ impl LsmTree {
         }
         for table in &snap.tables {
             let end_for_table = end_owned.clone();
-            let it = table_cells(table, Some(&seek), &failed).take_while(move |c| {
+            let it = table_cells(table.iter_from(Some(&seek)), &failed).take_while(move |c| {
                 match &end_for_table {
                     Some(e) => c.key.user_key < *e,
                     None => true,
@@ -594,53 +686,54 @@ impl LsmTree {
 
     // -- maintenance ---------------------------------------------------------
 
-    /// Flush the memtable to a new SSTable, then roll the WAL forward
-    /// (delete the old segment). Runs the registered pre/post flush hooks.
+    /// Flush the memtable to a new run of SSTables (one per column group),
+    /// then roll the WAL forward (delete the old segment). Runs the
+    /// registered pre/post flush hooks. Compacts once the stack holds
+    /// `compaction_trigger` runs.
     ///
     /// Writers are paused only while the active memtable is *frozen* (a
     /// pointer swap plus a WAL roll); the expensive SSTable build runs with
     /// no engine lock held, and readers are never blocked at all.
     pub fn flush(&self) -> Result<()> {
-        {
-            let _guard = self.maintenance.lock();
-            // Paper §5.3 / Figure 5: "1. pause & drain (AUQ)" before flush.
-            for hook in self.pre_flush_hooks.read().iter() {
-                hook();
-            }
-            let result = self.flush_locked();
-            // "4. resume" — even if the flush failed.
-            for hook in self.post_flush_hooks.read().iter() {
-                hook();
-            }
-            result?;
-        } // release the maintenance lock before compacting (non-reentrant)
-
-        let table_count = self.snapshot().tables.len();
-        if should_compact(table_count, self.opts.compaction_trigger) {
-            self.compact()?;
+        let mut runs = self.maintenance.lock();
+        // Paper §5.3 / Figure 5: "1. pause & drain (AUQ)" before flush.
+        for hook in self.pre_flush_hooks.read().iter() {
+            hook();
+        }
+        let result = self.flush_locked();
+        // "4. resume" — even if the flush failed.
+        for hook in self.post_flush_hooks.read().iter() {
+            hook();
+        }
+        if result? {
+            *runs += 1;
+        }
+        // Under the same lock, so two flushes that both reach the trigger
+        // compact once.
+        if should_compact(*runs, self.opts.compaction_trigger) {
+            self.compact_locked(&mut runs)?;
         }
         Ok(())
     }
 
-    /// Flush body; the caller holds the maintenance lock.
-    fn flush_locked(&self) -> Result<()> {
+    /// Flush body; the caller holds the maintenance lock. Returns whether
+    /// a run of tables was published.
+    fn flush_locked(&self) -> Result<bool> {
         // Phase 1 — freeze. Under the write-state lock: roll the WAL and
         // publish a snapshot with a fresh active memtable, the old active
         // demoted to the frozen list. Writers resume as soon as this block
         // exits; readers were never blocked.
-        let (build_snap, table_file_no) = {
+        let build_snap = {
             let mut ws = self.write_state.lock();
             let snap = self.snapshot();
             let active_empty = snap.active.read().is_empty();
             if active_empty && snap.frozen.is_empty() {
-                return Ok(());
+                return Ok(false);
             }
-            let table_file_no = ws.next_file_no;
-            ws.next_file_no += 1;
             if active_empty {
                 // Leftover frozen memtables from a failed earlier flush:
                 // nothing new to freeze, just retry the build below.
-                (snap, table_file_no)
+                snap
             } else {
                 let new_wal_no = ws.next_file_no;
                 ws.next_file_no += 1;
@@ -683,38 +776,33 @@ impl LsmTree {
                     tables: snap.tables.clone(),
                 });
                 self.publish(Arc::clone(&next));
-                (next, table_file_no)
+                next
             }
         };
 
         // Phase 2 — build. Merge the frozen memtables (newest first, so the
-        // merge's duplicate-suppression keeps the newest copy) into one
-        // SSTable. No engine lock is held: reads and writes proceed freely.
-        let path = table_path(&self.dir, table_file_no);
-        let mut builder = TableBuilder::create(&path, self.opts.table.clone())?;
+        // merge's duplicate-suppression keeps the newest copy) into one run
+        // of SSTables, one per column group. No engine lock is held: reads
+        // and writes proceed freely.
+        let mut run = RunWriter::new(self);
         {
             let guards: Vec<_> = build_snap.frozen.iter().map(|m| m.read()).collect();
             let sources: Vec<Box<dyn Iterator<Item = Cell> + '_>> =
                 guards.iter().map(|g| Box::new(g.iter()) as _).collect();
             for cell in MergeIter::new(sources) {
-                builder.add(&cell)?;
+                run.add(&cell)?;
             }
         }
-        let props = builder.finish()?;
+        let (run, bytes) = run.finish()?;
         Metrics::bump(&self.metrics.flushes);
-        Metrics::add(&self.metrics.bytes_flushed, props.file_size);
-        let table = Arc::new(
-            Table::open(&path, table_file_no, self.opts.block_cache.clone())?
-                .with_metrics(Arc::clone(&self.metrics)),
-        );
+        Metrics::add(&self.metrics.bytes_flushed, bytes);
 
-        // Phase 3 — publish the table, drop the frozen memtables, persist
+        // Phase 3 — publish the run, drop the frozen memtables, persist
         // the manifest, then delete the superseded WAL segments. A crash
         // before the deletes only costs a harmless re-replay of
         // already-flushed data.
         let cur = self.snapshot();
-        let mut tables = Vec::with_capacity(cur.tables.len() + 1);
-        tables.push(table);
+        let mut tables = run;
         tables.extend(cur.tables.iter().cloned());
         let next = Arc::new(Snapshot {
             active: Arc::clone(&cur.active),
@@ -731,18 +819,26 @@ impl LsmTree {
         for no in stale_wals {
             std::fs::remove_file(wal_path(&self.dir, no))?;
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// Major compaction: merge all SSTables into one, garbage-collecting
-    /// shadowed versions and expired tombstones (Figure 2c).
+    /// Major compaction: merge all SSTables into one run, garbage-collecting
+    /// shadowed versions and expired tombstones (Figure 2c). The run has one
+    /// table per non-empty column group, so this also splits tables written
+    /// before the groups were set.
     ///
     /// Works entirely off a private clone of the table stack; concurrent
     /// reads and writes are never blocked.
     pub fn compact(&self) -> Result<()> {
-        let _guard = self.maintenance.lock();
+        self.compact_locked(&mut self.maintenance.lock())
+    }
+
+    /// Compaction body; `runs` is the maintenance lock's run count.
+    fn compact_locked(&self, runs: &mut usize) -> Result<()> {
+        // The maintenance lock keeps flushes out, so this is the whole stack
+        // until the publish below.
         let tables: Vec<Arc<Table>> = self.snapshot().tables.clone();
-        if tables.len() < 2 {
+        if tables.is_empty() {
             return Ok(());
         }
         let max_ts = tables.iter().map(|t| t.properties().max_ts).max().unwrap_or(0);
@@ -751,28 +847,19 @@ impl LsmTree {
             drop_tombstones: true,
         };
 
-        let file_no = {
-            let mut ws = self.write_state.lock();
-            let no = ws.next_file_no;
-            ws.next_file_no += 1;
-            no
-        };
-        let path = table_path(&self.dir, file_no);
         let failed = RefCell::new(None);
-        let sources: Vec<Box<dyn Iterator<Item = Cell> + '_>> =
-            tables.iter().map(|t| Box::new(table_cells(t, None, &failed)) as _).collect();
-        let merged = MergeIter::new(sources);
-        let mut gc = gc_merge(merged, policy);
-        let mut builder = TableBuilder::create(&path, self.opts.table.clone())?;
-        for cell in gc.by_ref() {
-            builder.add(&cell)?;
-        }
+        let sources: Vec<Box<dyn Iterator<Item = Cell> + '_>> = tables
+            .iter()
+            .map(|t| Box::new(table_cells(t.iter_to_replace(), &failed)) as _)
+            .collect();
+        let mut gc = gc_merge(MergeIter::new(sources), policy);
+        let mut run = RunWriter::new(self);
+        let written = gc.by_ref().try_for_each(|cell| run.add(&cell));
         // An unreadable input block ended its table early: publishing the
         // output would drop those cells, and deleting the inputs would lose
         // them for good. Fail with the inputs untouched.
-        if let Some(e) = failed.take() {
-            drop(builder);
-            let _ = std::fs::remove_file(&path);
+        if let Some(e) = failed.take().or(written.err()) {
+            run.abandon();
             return Err(e);
         }
         let stats = gc.stats();
@@ -780,46 +867,18 @@ impl LsmTree {
             &self.metrics.gc_dropped_cells,
             stats.dropped_versions + stats.dropped_tombstones,
         );
-
-        let new_table = if builder.cell_count() > 0 {
-            let props = builder.finish()?;
-            Metrics::add(&self.metrics.bytes_compacted, props.file_size);
-            Some(Arc::new(
-                Table::open(&path, file_no, self.opts.block_cache.clone())?
-                    .with_metrics(Arc::clone(&self.metrics)),
-            ))
-        } else {
-            // Everything was garbage-collected; no output table.
-            drop(builder);
-            let _ = std::fs::remove_file(&path);
-            None
-        };
+        // Everything may have been garbage-collected: then no output table.
+        let (run, bytes) = run.finish()?;
+        Metrics::add(&self.metrics.bytes_compacted, bytes);
         Metrics::bump(&self.metrics.compactions);
 
         // Publish: replace the compacted inputs with the merged output.
-        // Tables flushed *during* this compaction (none today — the
-        // maintenance lock serializes — but be defensive) stay in front.
-        let compacted_ids: Vec<u64> = tables.iter().map(|t| t.id()).collect();
         let cur = self.snapshot();
-        let old_paths: Vec<PathBuf> = cur
-            .tables
-            .iter()
-            .filter(|t| compacted_ids.contains(&t.id()))
-            .map(|t| t.path().to_path_buf())
-            .collect();
-        let mut kept: Vec<Arc<Table>> = cur
-            .tables
-            .iter()
-            .filter(|t| !compacted_ids.contains(&t.id()))
-            .cloned()
-            .collect();
-        if let Some(t) = new_table {
-            kept.push(t);
-        }
+        let published_runs = usize::from(!run.is_empty());
         let next = Arc::new(Snapshot {
             active: Arc::clone(&cur.active),
             frozen: cur.frozen.clone(),
-            tables: kept,
+            tables: run,
         });
         let nos: Vec<u64> = next.tables.iter().rev().map(|t| t.id()).collect();
         {
@@ -827,10 +886,11 @@ impl LsmTree {
             write_manifest(&self.dir, &nos, ws.next_file_no)?;
             self.publish(next);
         }
+        *runs = published_runs;
         // Readers still holding the old snapshot keep the unlinked files
         // alive through their open descriptors.
-        for p in old_paths {
-            let _ = std::fs::remove_file(p);
+        for t in &tables {
+            let _ = std::fs::remove_file(t.path());
         }
         Ok(())
     }
@@ -1085,6 +1145,28 @@ mod tests {
         assert_eq!(db.get(b"k", 204).unwrap().unwrap().value, Bytes::from("v200"));
         assert!(db.get(b"k", 199).unwrap().is_none(), "pre-retention version was GC'd");
         assert!(db.metrics().snapshot().gc_dropped_cells >= 1);
+    }
+
+    #[test]
+    fn compaction_reads_do_not_fill_the_block_cache() {
+        let dir = TempDir::new("lsm").unwrap();
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let db = LsmTree::open(
+            dir.path(),
+            LsmOptions { block_cache: Some(Arc::clone(&cache)), ..manual_opts() },
+        )
+        .unwrap();
+        for t in 0..3 {
+            for i in 0..40 {
+                db.put(format!("k{i:03}"), 10 + t, vec![b'x'; 64]).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        db.compact().unwrap();
+        assert_eq!(cache.resident_bytes(), 0, "the compacted inputs' blocks were cached");
+        // Reads still fill it.
+        db.get_latest(b"k000").unwrap().unwrap();
+        assert!(cache.resident_bytes() > 0);
     }
 
     #[test]
@@ -1392,6 +1474,135 @@ mod tests {
         assert_eq!(db.table_count(), 2, "nothing published");
         assert!(matches!(db.get(b"a00", u64::MAX), Err(LsmError::Corruption(_))));
         assert_eq!(db.get(b"b00", u64::MAX).unwrap().unwrap().ts, 30);
+    }
+}
+
+#[cfg(test)]
+mod group_tests {
+    use super::*;
+    use tempdir_lite::TempDir;
+
+    /// Rows of a wide filler cell and a small title cell, interleaved in
+    /// key order like a row's columns: titles (`…/t`) are group 1, the rest
+    /// group 0.
+    fn title_groups() -> GroupsHook {
+        Box::new(|| Some(Arc::new(|key: &[u8]| usize::from(key.ends_with(b"/t"))) as KeyGroups))
+    }
+
+    fn group_of(key: &[u8]) -> bool {
+        key.ends_with(b"/t")
+    }
+
+    fn opts() -> LsmOptions {
+        LsmOptions {
+            memtable_flush_bytes: usize::MAX,
+            table: TableOptions { block_size: 256, bloom_bits_per_key: 10 },
+            block_cache: Some(Arc::new(BlockCache::new(1 << 20))),
+            compaction_trigger: 0,
+            version_retention: u64::MAX,
+            ..LsmOptions::default()
+        }
+    }
+
+    /// Every key of every table, grouped by table.
+    fn keys_by_table(db: &LsmTree) -> Vec<Vec<Bytes>> {
+        db.snapshot()
+            .tables
+            .iter()
+            .map(|t| t.iter_from(None).map(|c| c.unwrap().key.user_key).collect())
+            .collect()
+    }
+
+    fn put_rows(db: &LsmTree, rows: std::ops::Range<u64>, ts: Timestamp) {
+        for i in rows {
+            db.put(format!("r{i:04}/f"), ts, vec![b'x'; 100]).unwrap();
+            db.put(format!("r{i:04}/t"), ts, format!("title{i}")).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_flush_writes_one_table_per_non_empty_group() {
+        let dir = TempDir::new("lsm-groups").unwrap();
+        let db = LsmTree::open(dir.path(), opts()).unwrap();
+        db.set_groups_hook(title_groups());
+        put_rows(&db, 0..50, 10);
+        db.flush().unwrap();
+        let tables = keys_by_table(&db);
+        assert_eq!(tables.len(), 2);
+        for keys in &tables {
+            assert!(keys.iter().all(|k| group_of(k) == group_of(&keys[0])), "mixed groups");
+        }
+        // Only group 0 has cells in the next flush: one table.
+        db.put("r9999/f", 20, "x").unwrap();
+        db.flush().unwrap();
+        assert_eq!(db.table_count(), 3);
+        assert_eq!(db.metrics().snapshot().flushes, 2);
+    }
+
+    #[test]
+    fn a_cold_get_of_a_grouped_key_reads_only_its_groups_table() {
+        let dir = TempDir::new("lsm-groups").unwrap();
+        let db = LsmTree::open(dir.path(), LsmOptions { block_cache: None, ..opts() }).unwrap();
+        db.set_groups_hook(title_groups());
+        put_rows(&db, 0..200, 10);
+        db.flush().unwrap();
+        let snap = db.snapshot();
+        let (titles, filler): (Vec<_>, Vec<_>) =
+            snap.tables.iter().partition(|t| group_of(&t.properties().min_key));
+        assert_eq!((titles.len(), filler.len()), (1, 1));
+        let mut false_positives = 0;
+        for i in 0..200 {
+            let key = format!("r{i:04}/t");
+            assert!(db.get_latest(key.as_bytes()).unwrap().is_some());
+            false_positives += u64::from(!filler[0].definitely_absent(key.as_bytes()));
+        }
+        // The key ranges overlap, so only the bloom filter keeps the gets
+        // out of the filler table: it is read exactly on a false positive.
+        assert!(titles[0].block_reads() >= 200, "no cache: a block read per get");
+        assert_eq!(filler[0].block_reads(), false_positives);
+        assert!(false_positives <= 10, "{false_positives} bloom false positives in 200");
+    }
+
+    #[test]
+    fn groups_leave_the_compaction_count_alone() {
+        let compactions = |grouped: bool| {
+            let dir = TempDir::new("lsm-groups").unwrap();
+            let db = LsmTree::open(dir.path(), LsmOptions { compaction_trigger: 4, ..opts() })
+                .unwrap();
+            if grouped {
+                db.set_groups_hook(title_groups());
+            }
+            for f in 0..13 {
+                put_rows(&db, f * 10..f * 10 + 10, 10 + f);
+                db.flush().unwrap();
+            }
+            let m = db.metrics().snapshot();
+            (m.flushes, m.compactions, db.table_count())
+        };
+        assert_eq!(compactions(false), (13, 4, 1));
+        assert_eq!(compactions(true), (13, 4, 2));
+    }
+
+    #[test]
+    fn compaction_splits_tables_written_before_the_groups() {
+        let dir = TempDir::new("lsm-groups").unwrap();
+        let db = LsmTree::open(dir.path(), opts()).unwrap();
+        put_rows(&db, 0..50, 10);
+        db.flush().unwrap();
+        assert_eq!(db.table_count(), 1, "ungrouped: one mixed table");
+        db.set_groups_hook(title_groups());
+        db.compact().unwrap();
+        let tables = keys_by_table(&db);
+        assert_eq!(tables.len(), 2);
+        for keys in &tables {
+            assert_eq!(keys.len(), 50);
+            assert!(keys.iter().all(|k| group_of(k) == group_of(&keys[0])), "mixed groups");
+        }
+        // The split tables survive a reopen, grouped or not.
+        drop(db);
+        let db = LsmTree::open(dir.path(), opts()).unwrap();
+        assert_eq!(db.scan(b"", None, u64::MAX, usize::MAX).unwrap().len(), 100);
+        assert_eq!(db.get_latest(b"r0042/t").unwrap().unwrap().value, Bytes::from("title42"));
     }
 }
 

@@ -44,7 +44,7 @@ pub mod util;
 pub mod wal;
 
 pub use cache::BlockCache;
-pub use engine::{FlushHook, LsmOptions, LsmTree, WriteHandle};
+pub use engine::{FlushHook, GroupsHook, KeyGroups, LsmOptions, LsmTree, WriteHandle};
 pub use faults::{FaultPlan, FaultPoint};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use sstable::{Block, TableOptions};

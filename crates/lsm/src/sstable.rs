@@ -31,6 +31,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 const MAGIC: u64 = 0xD1FF_1DE8_5574_AB1E;
@@ -473,6 +474,9 @@ pub struct Table {
     /// Engine metrics for block-cache hit/miss/eviction accounting; `None`
     /// for tables opened outside an engine (tools, tests).
     metrics: Option<Arc<Metrics>>,
+    /// Data blocks this table read from its file: its cache misses, or
+    /// every block read when it has no cache.
+    block_reads: AtomicU64,
 }
 
 thread_local! {
@@ -487,7 +491,7 @@ thread_local! {
 const READ_BUF_RETAIN: usize = 64 << 10;
 
 /// Source of globally unique cache namespaces.
-static NEXT_CACHE_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+static NEXT_CACHE_NS: AtomicU64 = AtomicU64::new(1);
 
 impl std::fmt::Debug for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -593,7 +597,7 @@ impl Table {
             file,
             path,
             id,
-            cache_ns: NEXT_CACHE_NS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            cache_ns: NEXT_CACHE_NS.fetch_add(1, AtomicOrdering::Relaxed),
             index,
             bloom,
             min_prefix: key_prefix(&min_key),
@@ -601,6 +605,7 @@ impl Table {
             props: TableProperties { cell_count, min_key, max_key, max_ts, file_size },
             cache,
             metrics: None,
+            block_reads: AtomicU64::new(0),
         })
     }
 
@@ -643,7 +648,9 @@ impl Table {
         user_key < self.props.min_key.as_ref() || user_key > self.props.max_key.as_ref()
     }
 
-    fn read_block(&self, idx: usize) -> Result<Arc<Block>> {
+    /// Data block `idx`, from the cache if there; a block read from the
+    /// file is cached only with `fill`.
+    fn read_block(&self, idx: usize, fill: bool) -> Result<Arc<Block>> {
         let entry = &self.index[idx];
         if let Some(cache) = &self.cache {
             if let Some(block) = cache.get(self.cache_ns, entry.offset) {
@@ -656,6 +663,7 @@ impl Table {
                 Metrics::bump(&m.block_cache_misses);
             }
         }
+        self.block_reads.fetch_add(1, AtomicOrdering::Relaxed);
         let block = READ_BUF.with(|buf| {
             let buf = &mut *buf.borrow_mut();
             buf.resize(entry.len as usize, 0);
@@ -666,7 +674,7 @@ impl Table {
             block
         })?;
         let block = Arc::new(block);
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = self.cache.as_ref().filter(|_| fill) {
             let evicted = cache.insert(self.cache_ns, entry.offset, Arc::clone(&block));
             if evicted > 0 {
                 if let Some(m) = &self.metrics {
@@ -721,7 +729,7 @@ impl Table {
         let mut idx = self.block_for_parts(user_key, ts, CellKind::Delete);
         // The first cell >= seek may be at the start of the following block.
         loop {
-            let block = self.read_block(idx)?;
+            let block = self.read_block(idx, true)?;
             let pos = block.seek(user_key, ts, CellKind::Delete);
             if pos < block.len() {
                 let (k, _, _) = block.key_parts(pos);
@@ -750,6 +758,7 @@ impl Table {
             data: None,
             pos,
             error: None,
+            fill_cache: true,
         };
         if let Some(k) = seek {
             it.skip_to(k);
@@ -757,9 +766,23 @@ impl Table {
         it
     }
 
+    /// Every cell, for a merge that replaces this table (compaction):
+    /// like `iter_from(None)`, but a block read from the file is not
+    /// cached. Nothing reads it again once the merge publishes, so caching
+    /// it would only evict live blocks.
+    pub(crate) fn iter_to_replace(&self) -> TableIter<'_> {
+        TableIter { fill_cache: false, ..self.iter_from(None) }
+    }
+
     /// Number of data blocks.
     pub fn block_count(&self) -> usize {
         self.index.len()
+    }
+
+    /// Data blocks read from this table's file so far, block-cache hits
+    /// excluded.
+    pub fn block_reads(&self) -> u64 {
+        self.block_reads.load(AtomicOrdering::Relaxed)
     }
 }
 
@@ -773,6 +796,8 @@ pub struct TableIter<'a> {
     data: Option<Arc<Block>>,
     pos: usize,
     error: Option<LsmError>,
+    /// Cache the blocks read from the file.
+    fill_cache: bool,
 }
 
 impl<'a> TableIter<'a> {
@@ -781,7 +806,7 @@ impl<'a> TableIter<'a> {
             if self.block >= self.table.index.len() {
                 return false;
             }
-            match self.table.read_block(self.block) {
+            match self.table.read_block(self.block, self.fill_cache) {
                 Ok(b) => {
                     self.data = Some(b);
                     self.pos = 0;
@@ -1114,7 +1139,7 @@ mod tests {
             b.finish().unwrap();
             let table = Table::open(&path, 1, None).unwrap();
             assert_eq!(table.block_count(), 1);
-            let read = table.read_block(0).unwrap();
+            let read = table.read_block(0, true).unwrap();
             let built = Block::from_cells(&cells);
             assert_eq!((read.len(), built.len()), (cells.len(), cells.len()), "round {round}");
             assert_eq!(read.size_bytes(), built.size_bytes());

@@ -2,10 +2,11 @@
 //! interleavings of puts, deletes, flushes, compactions and crash/reopen
 //! cycles, the engine must behave exactly like a sorted map of
 //! (key → newest visible version), for both point reads and scans, at the
-//! latest snapshot and at historical snapshots.
+//! latest snapshot and at historical snapshots. An engine that splits its
+//! tables into column groups must answer exactly like one that does not.
 
 use bytes::Bytes;
-use diff_index_lsm::{BlockCache, LsmOptions, LsmTree, TableOptions};
+use diff_index_lsm::{BlockCache, KeyGroups, LsmOptions, LsmTree, TableOptions};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -56,8 +57,26 @@ fn model_get(model: &Model, key: &[u8], ts: u64) -> Option<Bytes> {
         .and_then(|(_, v)| v.clone())
 }
 
+/// 48 cases, or `PROPTEST_CASES` when set (the nightly deep sweep).
+fn config() -> ProptestConfig {
+    let base = ProptestConfig::default();
+    let cases = if std::env::var_os("PROPTEST_CASES").is_some() { base.cases } else { 48 };
+    ProptestConfig { cases, ..base }
+}
+
+/// Open `dir`; with `grouped`, its keys go to three column groups.
+fn open(dir: &TempDir, grouped: bool) -> LsmTree {
+    let db = LsmTree::open(dir.path(), opts()).unwrap();
+    if grouped {
+        db.set_groups_hook(Box::new(|| {
+            Some(Arc::new(|key: &[u8]| usize::from(key.last().unwrap() % 3)) as KeyGroups)
+        }));
+    }
+    db
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(config())]
 
     #[test]
     fn engine_matches_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
@@ -167,6 +186,52 @@ proptest! {
             // The version visible at wts is the write at wts itself.
             prop_assert_eq!(got.ts, *wts);
             prop_assert_eq!(got.value, val.clone());
+        }
+    }
+
+    #[test]
+    fn grouped_engine_matches_ungrouped(ops in prop::collection::vec(op_strategy(), 1..120)) {
+        let dirs = [TempDir::new("lsm-plain").unwrap(), TempDir::new("lsm-grouped").unwrap()];
+        let mut dbs = vec![open(&dirs[0], false), open(&dirs[1], true)];
+        let mut ts = 100u64;
+        let mut snapshots = vec![ts];
+        for op in &ops {
+            for i in 0..dbs.len() {
+                let db = &dbs[i];
+                match op {
+                    Op::Put { key, value } => {
+                        db.put(key_bytes(*key), ts + 1, Bytes::from(format!("v{value}"))).unwrap()
+                    }
+                    Op::Delete { key } => db.delete(key_bytes(*key), ts + 1).unwrap(),
+                    Op::Flush => db.flush().unwrap(),
+                    Op::Compact => db.compact().unwrap(),
+                    Op::CrashReopen => {
+                        dbs.remove(i).simulate_crash();
+                        dbs.insert(i, open(&dirs[i], i == 1));
+                    }
+                }
+            }
+            if matches!(op, Op::Put { .. } | Op::Delete { .. }) {
+                ts += 1;
+                if ts.is_multiple_of(5) {
+                    snapshots.push(ts);
+                }
+            }
+        }
+        let (plain, grouped) = (&dbs[0], &dbs[1]);
+        for snap in snapshots.iter().rev().take(6).copied().chain([u64::MAX]) {
+            for k in 0..24u8 {
+                let key = key_bytes(k);
+                let want = plain.get_versioned(&key, snap).unwrap();
+                prop_assert_eq!(grouped.get_versioned(&key, snap).unwrap(), want, "get_versioned");
+                let want = plain.get(&key, snap).unwrap();
+                prop_assert_eq!(grouped.get(&key, snap).unwrap(), want, "get");
+            }
+            let want = plain.scan(b"", None, snap, usize::MAX).unwrap();
+            prop_assert_eq!(grouped.scan(b"", None, snap, usize::MAX).unwrap(), want, "scan");
+            let want = plain.scan(b"key005", Some(b"key015"), snap, 4).unwrap();
+            let got = grouped.scan(b"key005", Some(b"key015"), snap, 4).unwrap();
+            prop_assert_eq!(got, want, "bounded scan");
         }
     }
 }
