@@ -185,9 +185,9 @@ struct Inner {
     dispatch: Dispatches,
     /// Observer registration tokens.
     next_observer_id: AtomicU64,
-    /// Shared pool for parallel fan-out: observer dispatch, per-region
-    /// stages of batched puts, and the SU2 ∥ SU3/SU4 split inside sync
-    /// index maintenance.
+    /// Shared pool for parallel fan-out: observer dispatch and the
+    /// per-region stages of batched puts and raw writes, sync index
+    /// maintenance's entry writes among them.
     fanout: FanoutPool,
     /// Chaos-testing fault surface, shared with every region engine and
     /// network server of this cluster; unarmed (and free) in production.

@@ -1,6 +1,7 @@
 //! A small shared fan-out pool for parallelizing independent region
-//! operations: observer dispatch across index specs, SU2 ∥ SU3/SU4 inside a
-//! sync index update, and per-region stages of batched puts and raw writes.
+//! operations: observer dispatch across index specs, and per-region stages
+//! of batched puts and raw writes (a sync index update's entries in
+//! different index regions among them).
 //!
 //! Why not one thread per task: an indexed put fans out 2–4 sub-operations
 //! that each take tens to hundreds of microseconds, so a ~25 µs thread
@@ -8,12 +9,13 @@
 //! set of workers and a submission queue instead.
 //!
 //! Deadlock freedom: tasks may themselves fan out (a batched put fans out
-//! per region; each region's observers fan out per spec; each sync update
-//! fans out SU2 vs SU3/SU4). A [`FanoutPool::run`] caller keeps its batch
-//! in its own deque: free workers take tasks from it, and the caller runs
-//! whatever is left itself. It then waits only on tasks another thread is
-//! already running, each of which finishes by the same argument, so
-//! nesting cannot exhaust the pool, even with zero workers.
+//! per region; each region's observers fan out per spec; each sync
+//! update's raw write fans out per index region). A [`FanoutPool::run`]
+//! caller keeps its batch in its own deque: free workers take tasks from
+//! it, and the caller runs whatever is left itself. It then waits only on
+//! tasks another thread is already running, each of which finishes by the
+//! same argument, so nesting cannot exhaust the pool, even with zero
+//! workers.
 //!
 //! The caller never runs a job outside its own batch, such as a queued
 //! client request or another caller's stage. A thread that other jobs may

@@ -75,8 +75,11 @@ impl PartitionMap {
     }
 
     /// Evenly split the *byte* key space into `n` regions using single-byte
-    /// prefixes — adequate when row keys are hashed or uniformly distributed
-    /// (the YCSB workload's `user<hash>` keys are).
+    /// prefixes. The split is even over first bytes, not over keys: every
+    /// key with the same first byte lands in one region, and with `n = 4`
+    /// every key that starts with an ASCII letter (`user<hash>`, `item…`,
+    /// `title…`) lands in region 1. Keys spread only when their first bytes
+    /// do, as raw hashes do.
     pub fn even(n: usize, servers: &[ServerId]) -> Self {
         assert!(n >= 1);
         let splits: Vec<Bytes> = (1..n)
@@ -220,6 +223,15 @@ mod tests {
         assert_eq!(m.locate(&[0x40]).id, 1);
         assert_eq!(m.locate(&[0x80]).id, 2);
         assert_eq!(m.locate(&[0xC0]).id, 3);
+    }
+
+    #[test]
+    fn even_split_puts_ascii_letter_keys_in_one_region() {
+        let m = PartitionMap::even(4, &[0, 1]);
+        for key in [&b"item0001"[..], b"item9999", b"title-a", b"title~z", b"user42"] {
+            assert_eq!(m.locate(key).id, 1, "{}", String::from_utf8_lossy(key));
+        }
+        assert_eq!(m.server_for(b"item0001"), 1);
     }
 
     #[test]

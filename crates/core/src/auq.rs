@@ -124,8 +124,12 @@ pub struct AuqMetrics {
     pub lag_max_ms: AtomicU64,
     /// Synchronous index updates whose SU2 (new-entry put) and SU3/SU4
     /// (pre-image read + old-entry delete) arms were dispatched in parallel.
+    /// Always 0: a sync-full put writes both entries as one `raw_write`,
+    /// whose index regions run in parallel in the cluster instead. Kept
+    /// because the benchmark reports it.
     pub fanout_dispatches: AtomicU64,
-    /// Total parallel sub-operations those dispatches fanned out.
+    /// Total parallel sub-operations those dispatches fanned out. Always 0,
+    /// as [`AuqMetrics::fanout_dispatches`].
     pub fanout_tasks: AtomicU64,
     /// Deepest queue depth ever observed (after an admission).
     pub high_watermark: AtomicU64,
@@ -207,10 +211,11 @@ impl Auq {
         self.enqueue_many(std::iter::once(task))
     }
 
-    /// Add a batch of tasks under one queue lock with a single worker
-    /// wake-up. The blocking-while-paused contract matches [`Auq::enqueue`];
-    /// the whole batch is admitted at once, so a flush drain never splits
-    /// the tasks of one base operation across a pause boundary.
+    /// Add a batch of tasks under one queue lock with one worker wake-up,
+    /// or none while the worker is wedged. The blocking-while-paused
+    /// contract matches [`Auq::enqueue`]; the whole batch is admitted at
+    /// once, so a flush drain never splits the tasks of one base operation
+    /// across a pause boundary.
     pub fn enqueue_many<I: IntoIterator<Item = IndexTask>>(&self, tasks: I) {
         let batch: Vec<IndexTask> = tasks.into_iter().collect();
         if batch.is_empty() {
@@ -227,7 +232,10 @@ impl Auq {
         s.queue.extend(batch.into_iter().map(|task| (task, 0)));
         self.metrics.enqueued.fetch_add(n, Ordering::Relaxed);
         self.metrics.high_watermark.fetch_max(s.queue.len() as u64, Ordering::Relaxed);
-        self.cv.notify_all();
+        // A wedged worker could not pop the batch; un-wedging wakes it.
+        if !s.wedged() {
+            self.cv.notify_all();
+        }
     }
 
     /// Pause intake and wait until every queued and in-flight task has been

@@ -5,8 +5,8 @@
 //! in the observer, in the APS, or at read time — so the steps themselves
 //! live here and the callers pick:
 //!
-//! * sync-full runs SU2 ([`new_entry`]) in parallel with SU3→SU4
-//!   ([`old_entry`]) on every put, and SU3→SU4 alone on every delete;
+//! * sync-full runs SU3 ([`old_entry`]) and then writes SU2 ([`new_entry`])
+//!   and SU4 together on every put, and SU3→SU4 alone on every delete;
 //! * sync-insert runs SU2 only;
 //! * the APS runs BA2→BA3 ([`old_entry`]) and BA4 ([`new_entry`]);
 //! * read-repair, backfill and cleanse write single entries through

@@ -3,8 +3,9 @@
 //! mutation and runs the `maintain` steps where the index's scheme puts
 //! them:
 //!
-//! * `sync-full` (Algorithm 1): SU2 in parallel with SU3→SU4 on a put,
-//!   SU3→SU4 on a delete, before the client is acknowledged;
+//! * `sync-full` (Algorithm 1): SU3's pre-image read, then SU2 and SU4
+//!   written together on a put, SU3→SU4 on a delete, before the client is
+//!   acknowledged;
 //! * `sync-insert` (§4.2): SU2 only — stale entries are repaired at read
 //!   time (Algorithm 2);
 //! * `async-simple` / `async-session` (Algorithms 3–4): enqueue the put on
@@ -24,7 +25,6 @@ use bytes::Bytes;
 use diff_index_cluster::{
     Cluster, ColumnValue, ReplayedOp, Result as ClusterResult, TableObserver,
 };
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The coprocessor for one index; `spec.scheme` picks the maintenance
@@ -58,62 +58,10 @@ impl IndexObserver {
         &self.auq
     }
 
-    /// Algorithm 1 on a put: SU2 and SU3→SU4 touch *different* index rows
-    /// (new-value vs old-value entry), typically in different index
-    /// regions, so they run in parallel on the cluster's fan-out pool. Both
-    /// carry timestamps fixed before the dispatch (`ts` and `t − δ`), so the
-    /// index state after both land does not depend on their order (§4.3).
-    fn sync_full_put(
-        &self,
-        cluster: &Cluster,
-        row: &[u8],
-        columns: &[ColumnValue],
-        ts: u64,
-    ) -> Result<()> {
-        // SU1, shared by both arms: the index values after this put.
-        let new = maintain::values_at(cluster, &self.spec, row, columns, ts)?;
-        let old_ts = old_entry_ts(cluster, ts);
-        let row = Bytes::copy_from_slice(row);
-        type Arm = Box<dyn FnOnce() -> Result<Vec<IndexTask>> + Send>;
-        let su2: Arm = {
-            let (cluster, spec, row, new) =
-                (cluster.clone(), Arc::clone(&self.spec), row.clone(), new.clone());
-            Box::new(move || {
-                let entry = maintain::new_entry(&row, new.as_deref(), ts);
-                Ok(maintain::write_entries(&cluster, &spec, entry))
-            })
-        };
-        let su3_su4: Arm = {
-            let (cluster, spec) = (cluster.clone(), Arc::clone(&self.spec));
-            Box::new(move || {
-                let entry = maintain::old_entry(&cluster, &spec, &row, new.as_deref(), old_ts)?;
-                Ok(maintain::write_entries(&cluster, &spec, entry))
-            })
-        };
-        let arms = vec![su2, su3_su4];
-        let metrics = self.auq.metrics();
-        metrics.fanout_dispatches.fetch_add(1, Ordering::Relaxed);
-        metrics.fanout_tasks.fetch_add(arms.len() as u64, Ordering::Relaxed);
-
-        // Failed writes degrade to the AUQ as one batch; a read error in
-        // either arm surfaces after both arms have finished.
-        let mut retries = Vec::new();
-        let mut first_err = None;
-        for result in cluster.fanout().run(arms) {
-            match result {
-                Ok(retry) => retries.extend(retry),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        self.auq.enqueue_many(retries);
-        first_err.map_or(Ok(()), Err)
-    }
-
-    /// sync-insert, and sync-full over a batch: every row's SU2 entry and,
-    /// under sync-full, its SU3 pre-image read and SU4 delete, the entries
-    /// written as one `raw_write` (one WAL record per index region). A
+    /// The synchronous schemes over a put or a batch: every row's SU2 entry
+    /// and, under sync-full, its SU3 pre-image read and SU4 delete, the
+    /// entries written as one `raw_write` (one WAL record per index region,
+    /// so a single put whose two entries share a region pays one). A
     /// failed region group becomes AUQ retries of its own entries (§6.2).
     /// A failed base read drops only the entries that depend on it; the
     /// first such error, in row order, is returned once everything else has
@@ -183,8 +131,9 @@ impl TableObserver for IndexObserver {
             return Ok(());
         }
         match self.spec.scheme {
-            IndexScheme::SyncFull => self.sync_full_put(cluster, row, columns, ts)?,
-            IndexScheme::SyncInsert => self.sync_batch(cluster, [(row, columns, ts)])?,
+            IndexScheme::SyncFull | IndexScheme::SyncInsert => {
+                self.sync_batch(cluster, [(row, columns, ts)])?
+            }
             IndexScheme::AsyncSimple | IndexScheme::AsyncSession => {
                 // AU1 (Algorithm 3): the base put is already logged and in
                 // the memtable; enqueue ⟨k, vnew, tnew⟩ and return, so the

@@ -88,22 +88,85 @@ fn sync_full_delete_removes_entry() {
 }
 
 #[test]
-fn sync_full_fans_out_su2_and_repair_in_parallel() {
-    // Every sync-full put dispatches SU2 ∥ (SU3→SU4) on the fan-out pool —
-    // two sub-operations per update — and the result must be identical to
-    // the sequential algorithm (old entry gone, new entry present).
-    let (_d, cluster, di) = setup(IndexScheme::SyncFull);
+fn sync_full_update_writes_one_index_wal_record_when_both_entries_share_a_region() {
+    // Both titles start with a letter, so SU2's put and SU4's delete land
+    // in one index region: one WAL record and one fsync.
+    let dir = TempDir::new("diffidx").unwrap();
+    let lsm = LsmOptions { wal_sync: true, version_retention: u64::MAX, ..LsmOptions::default() };
+    let cluster = Cluster::new(dir.path(), ClusterOptions { num_servers: 2, lsm }).unwrap();
+    cluster.create_table("item", 4).unwrap();
+    let di = DiffIndex::new(cluster.clone());
+    di.create_index(IndexSpec::single("title", "item", "item_title", IndexScheme::SyncFull), 4)
+        .unwrap();
+    let index_table = di.index("item", "title").unwrap().spec.index_table();
     put_title(&cluster, "item1", "before");
-    put_title(&cluster, "item1", "after");
-    let auq = std::sync::Arc::clone(di.index("item", "title").unwrap().auq());
-    let m = auq.metrics();
-    use std::sync::atomic::Ordering;
-    let dispatches = m.fanout_dispatches.load(Ordering::Relaxed);
-    let tasks = m.fanout_tasks.load(Ordering::Relaxed);
-    assert_eq!(dispatches, 2, "one fan-out dispatch per indexed put");
-    assert_eq!(tasks, 2 * dispatches, "SU2 and SU3/SU4 arms per dispatch");
+
+    let before = cluster.table_metrics(&index_table).unwrap();
+    put_title(&cluster, "item1", "over");
+    let d = cluster.table_metrics(&index_table).unwrap() - before;
+    assert_eq!((d.puts, d.deletes), (1, 1), "SU2's put and SU4's delete");
+    assert_eq!(d.wal_appends, 1, "both entries in one WAL record");
+    assert_eq!(d.wal_fsyncs, 1, "and one fsync");
     assert!(di.get_by_index("item", "title", b"before", 100).unwrap().is_empty());
-    assert_eq!(rows_of(&di.get_by_index("item", "title", b"after", 100).unwrap()), vec!["item1"]);
+    assert_eq!(rows_of(&di.get_by_index("item", "title", b"over", 100).unwrap()), vec!["item1"]);
+}
+
+#[test]
+fn sync_full_update_puts_the_new_entry_at_ts_and_deletes_the_old_at_ts_minus_delta() {
+    use diff_index_core::encoding::index_row;
+    use diff_index_lsm::DELTA;
+
+    let (_d, cluster, di) = setup(IndexScheme::SyncFull);
+    let index_table = di.index("item", "title").unwrap().spec.index_table();
+    put_title(&cluster, "item1", "before");
+    let ts = put_title(&cluster, "item1", "after");
+    let newest = |title: &str| {
+        let key = index_row(&[b(title)], b"item1");
+        cluster.get_cell_versioned(&index_table, &key, b"", u64::MAX).unwrap()
+    };
+    assert_eq!(newest("after"), Some((ts, false)), "the new entry's put at ts");
+    assert_eq!(newest("before"), Some((ts - DELTA, true)), "the old entry's delete at ts - δ");
+}
+
+#[test]
+fn sync_full_put_retries_only_the_entry_whose_index_region_is_down() {
+    // The single-put twin of the batch test below: the old entry's index
+    // region is on the live server, the new entry's on the crashed one.
+    use diff_index_core::encoding::index_row;
+    use diff_index_core::verify_index;
+
+    let (_d, cluster, di) = setup(IndexScheme::SyncFull);
+    let handle = di.index("item", "title").unwrap();
+    let (index_table, auq) = (handle.spec.index_table(), handle.auq());
+    let server_of = |title: &str| {
+        cluster.server_for_row(&index_table, &index_row(&[b(title)], b"item1")).unwrap()
+    };
+    let live = cluster.server_for_row("item", b"item1").unwrap();
+    let (old, new) = ("old", "0-new");
+    assert_eq!(server_of(old), live);
+    let down = server_of(new);
+    assert_ne!(down, live);
+    put_title(&cluster, "item1", old);
+
+    // Hold the retry queue so the retry can be counted before it runs.
+    auq.set_stalled(true);
+    cluster.crash_server(down);
+    let ts = put_title(&cluster, "item1", new);
+    assert_eq!(auq.depth(), 1, "only the new entry's put is retried");
+    let present = |title: &str| {
+        let key = index_row(&[b(title)], b"item1");
+        cluster.get(&index_table, &key, b"", u64::MAX).unwrap().is_some()
+    };
+    assert!(!present(old), "the old entry's delete landed on the live server");
+
+    cluster.recover().unwrap();
+    auq.set_stalled(false);
+    di.quiesce("item");
+    let hits = di.get_by_index("item", "title", new.as_bytes(), 100).unwrap();
+    assert_eq!(rows_of(&hits), vec!["item1"]);
+    assert_eq!(hits[0].ts, ts, "the retried put keeps the base timestamp");
+    let report = verify_index(&cluster, &handle.spec).unwrap();
+    assert!(report.is_clean(), "{report:?}");
 }
 
 #[test]

@@ -1162,8 +1162,12 @@ mod tests {
             }
             db.flush().unwrap();
         }
+        let before = db.metrics().snapshot();
         db.compact().unwrap();
         assert_eq!(cache.resident_bytes(), 0, "the compacted inputs' blocks were cached");
+        let after = db.metrics().snapshot();
+        assert_eq!(after.block_cache_misses, before.block_cache_misses, "compaction counted misses");
+        assert_eq!(after.block_cache_hits, before.block_cache_hits, "compaction counted hits");
         // Reads still fill it.
         db.get_latest(b"k000").unwrap().unwrap();
         assert!(cache.resident_bytes() > 0);

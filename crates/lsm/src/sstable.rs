@@ -649,17 +649,20 @@ impl Table {
     }
 
     /// Data block `idx`, from the cache if there; a block read from the
-    /// file is cached only with `fill`.
+    /// file is cached only with `fill`. Only reads with `fill` count as
+    /// cache hits or misses, so a compaction's reads do not skew the hit
+    /// rate of the gets and scans.
     fn read_block(&self, idx: usize, fill: bool) -> Result<Arc<Block>> {
         let entry = &self.index[idx];
         if let Some(cache) = &self.cache {
+            let metrics = self.metrics.as_ref().filter(|_| fill);
             if let Some(block) = cache.get(self.cache_ns, entry.offset) {
-                if let Some(m) = &self.metrics {
+                if let Some(m) = metrics {
                     Metrics::bump(&m.block_cache_hits);
                 }
                 return Ok(block);
             }
-            if let Some(m) = &self.metrics {
+            if let Some(m) = metrics {
                 Metrics::bump(&m.block_cache_misses);
             }
         }
