@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the snapshot read path, layer by layer:
 //! snapshot acquisition, memtable probe, single-table probe (warm cache),
-//! raw block binary search, and the full engine `get`. Together they show
+//! raw block binary search, and the full engine `get`, alone and ten at a
+//! time as single gets or one `get_many` batch. Together they show
 //! where a warm point read spends its time and prove the lock-free rebuild
 //! pays off end to end. `engine_get_cold`, `crc32_4k` and
 //! `block_decode_4k` cover the miss path: a get whose block must be read,
@@ -121,6 +122,30 @@ fn bench_read_path(c: &mut Criterion) {
         b.iter_batched(
             || key(rng.random_range(0..KEYS)),
             |k| black_box(tree.get_latest(&k).unwrap()),
+            BatchSize::SmallInput,
+        )
+    });
+
+    // Ten random keys read one get at a time, then as one batch: the
+    // batch takes one snapshot and memtable guard and hashes each key once.
+    let ten_keys = |rng: &mut StdRng| -> Vec<Bytes> {
+        (0..10).map(|_| key(rng.random_range(0..KEYS))).collect()
+    };
+    g.bench_function("engine_get_warm_10", |b| {
+        b.iter_batched(
+            || ten_keys(&mut rng),
+            |keys| {
+                for k in &keys {
+                    black_box(tree.get_latest(k).unwrap());
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function("engine_get_many_10", |b| {
+        b.iter_batched(
+            || ten_keys(&mut rng),
+            |keys| black_box(tree.get_many(&keys, u64::MAX).unwrap()),
             BatchSize::SmallInput,
         )
     });

@@ -632,6 +632,34 @@ impl Cluster {
         Ok(region.engine.get(&cell_key(row, column), ts)?)
     }
 
+    /// [`Cluster::get`] of many `(row, column)` cells at snapshot `ts`, in
+    /// input order. The cells are routed together and each region reads
+    /// its share as one engine batch ([`LsmTree::get_many`]); each cell
+    /// still counts as one `gets` dispatch. Fails with
+    /// [`ClusterError::ServerDown`] if any cell's server is down.
+    pub fn get_many(
+        &self,
+        table: &str,
+        cells: &[(&[u8], &[u8])],
+        ts: u64,
+    ) -> Result<Vec<Option<VersionedValue>>> {
+        let keys: Vec<Bytes> = cells.iter().map(|(row, column)| cell_key(row, column)).collect();
+        // A cell key is its row's `row_start` followed by the column.
+        let rows: Vec<&[u8]> = keys
+            .iter()
+            .zip(cells)
+            .map(|(key, (_, column))| &key[..key.len() - column.len()])
+            .collect();
+        let mut out = vec![None; cells.len()];
+        for (region, idxs) in self.route_many(table, &rows, &self.inner.dispatch.gets)? {
+            let batch: Vec<&Bytes> = idxs.iter().map(|&i| &keys[i]).collect();
+            for (i, cell) in idxs.into_iter().zip(region.engine.get_many(&batch, ts)?) {
+                out[i] = cell.and_then(Cell::into_visible);
+            }
+        }
+        Ok(out)
+    }
+
     /// Raw versioned read: the newest cell (tombstones included) for one
     /// column of one row. Returns `(timestamp, is_tombstone)`. Used by
     /// administrative tools (e.g. Diff-Index's index cleanser) that must

@@ -92,6 +92,48 @@ impl Cluster {
         Ok((region, clock))
     }
 
+    /// [`Cluster::route`] of many encoded keys under one tables-lock and
+    /// one servers-lock acquisition: the regions they fall in, in order of
+    /// first use, each with the positions of its keys. Fails with
+    /// [`ClusterError::ServerDown`] if any hosting server is down, and
+    /// counts every key in `op` otherwise.
+    pub(super) fn route_many(
+        &self,
+        table: &str,
+        enc_keys: &[&[u8]],
+        op: &AtomicU64,
+    ) -> Result<Vec<(Arc<Region>, Vec<usize>)>> {
+        let groups = self.with_table(table, |state| {
+            let mut groups: Vec<(Arc<Region>, ServerId, Vec<usize>)> = Vec::new();
+            for (i, key) in enc_keys.iter().enumerate() {
+                let id = state.map.locate(key).id;
+                match groups.iter_mut().find(|(region, _, _)| region.spec.id == id) {
+                    Some((_, _, idxs)) => idxs.push(i),
+                    None => {
+                        let server = state.map.server_for(key);
+                        let region = state.regions.get(&id).cloned();
+                        groups.push((
+                            region.ok_or(ClusterError::ServerDown(server))?,
+                            server,
+                            vec![i],
+                        ));
+                    }
+                }
+            }
+            Ok(groups)
+        })?;
+        {
+            let servers = self.inner.servers.read();
+            for &(_, server, _) in &groups {
+                if !servers.get(&server).is_some_and(|s| s.alive) {
+                    return Err(ClusterError::ServerDown(server));
+                }
+            }
+        }
+        op.fetch_add(enc_keys.len() as u64, Ordering::Relaxed);
+        Ok(groups.into_iter().map(|(region, _, idxs)| (region, idxs)).collect())
+    }
+
     /// Regions (with engines) overlapping an encoded key range, in key order.
     pub(super) fn regions_in_range(
         &self,

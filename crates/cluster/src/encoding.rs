@@ -57,21 +57,28 @@ pub fn escape_no_term(part: &[u8]) -> Bytes {
 /// Decode one part from the front of `buf`, returning the part and the
 /// number of encoded bytes consumed. `None` on malformed input.
 pub fn decode_part(buf: &[u8]) -> Option<(Vec<u8>, usize)> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
+    let end = part_end(buf)?;
+    // Each escape `0x00 0x01` decodes to its first byte: copy the runs up
+    // to and including it, then step over the `0x01`.
+    let mut out = Vec::with_capacity(end);
+    let mut rest = &buf[..end];
+    while let Some(zero) = rest.iter().position(|&b| b == 0) {
+        out.extend_from_slice(&rest[..=zero]);
+        rest = &rest[zero + 2..];
+    }
+    out.extend_from_slice(rest);
+    Some((out, end + 2))
+}
+
+/// Offset of the terminator of the part at the front of `buf`. `None` on
+/// malformed input.
+fn part_end(buf: &[u8]) -> Option<usize> {
+    let mut i = 0;
     loop {
-        let b = *buf.get(i)?;
-        if b != 0 {
-            out.push(b);
-            i += 1;
-            continue;
-        }
+        i += buf[i..].iter().position(|&b| b == 0)?;
         match *buf.get(i + 1)? {
-            0 => return Some((out, i + 2)), // terminator
-            1 => {
-                out.push(0);
-                i += 2;
-            }
+            0 => return Some(i),
+            1 => i += 2,
             _ => return None,
         }
     }
@@ -110,15 +117,7 @@ pub fn decode_cell_key(key: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
 /// The column of a cell key: the bytes after its row part, found without
 /// decoding the row. `None` on malformed input.
 pub fn column_of(key: &[u8]) -> Option<&[u8]> {
-    let mut i = 0;
-    loop {
-        i += key[i..].iter().position(|&b| b == 0)?;
-        match *key.get(i + 1)? {
-            0 => return Some(&key[i + 2..]), // terminator
-            1 => i += 2,
-            _ => return None,
-        }
-    }
+    Some(&key[part_end(key)? + 2..])
 }
 
 /// Start of the cell-key range covering every column of `row`.
@@ -170,6 +169,19 @@ mod tests {
         encode_part(&mut y, b"aa");
         encode_part(&mut y, b"a");
         assert!(x.freeze() < y.freeze());
+    }
+
+    #[test]
+    fn decode_part_roundtrips_and_reports_its_length() {
+        let parts: [&[u8]; 7] =
+            [b"", b"\x00", b"\x00\x00\x00", b"abc", b"a\x00b\x00", b"\x00ab", b"ab\x00\x00cd"];
+        for part in parts {
+            let mut enc = BytesMut::new();
+            encode_part(&mut enc, part);
+            let len = enc.len();
+            enc.extend_from_slice(b"tail\x00\x00");
+            assert_eq!(decode_part(&enc), Some((part.to_vec(), len)), "part {part:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Tests for the cluster APIs added during Diff-Index development:
 //! raw row-range scans, versioned cell reads, server restart, and region
-//! introspection.
+//! introspection, and batched point reads.
 
 use bytes::Bytes;
-use diff_index_cluster::{Cluster, ClusterOptions};
+use diff_index_cluster::{Cluster, ClusterError, ClusterOptions};
 use tempdir_lite::TempDir;
 
 fn b(s: &str) -> Bytes {
@@ -104,4 +104,69 @@ fn rpc_counter_grows_with_fanout() {
     assert_eq!(after_put - before, 1);
     c.scan_rows("t", b"", None, u64::MAX, 100).unwrap(); // fans out to all 8
     assert_eq!(c.dispatch_metrics().total() - after_put, 8);
+}
+
+/// Four rows, one per region of a 4-region table on two servers.
+fn rows_in_four_regions(c: &Cluster) -> Vec<Vec<u8>> {
+    c.create_table("t", 4).unwrap();
+    [0x01u8, 0x41, 0x81, 0xc1].iter().map(|&first| vec![first, b'r']).collect()
+}
+
+#[test]
+fn get_many_answers_in_input_order_across_regions() {
+    let (_d, c) = cluster(2);
+    let rows = rows_in_four_regions(&c);
+    assert_ne!(c.server_for_row("t", &rows[0]).unwrap(), c.server_for_row("t", &rows[1]).unwrap());
+    let mut first = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        first.push(c.put("t", row, &[(b("c"), b(&format!("v{i}")))]).unwrap());
+    }
+    c.put("t", &rows[0], &[(b("c"), b("newer"))]).unwrap();
+    c.delete("t", &rows[2], &[b("c")]).unwrap();
+    let cells: Vec<(&[u8], &[u8])> = vec![
+        (&rows[3], b"c"),
+        (&rows[0], b"c"),
+        (&rows[2], b"c"),
+        (&rows[1], b"missing"),
+        (&rows[0], b"c"),
+        (&rows[1], b"c"),
+    ];
+    for ts in [u64::MAX, first[3]] {
+        let per_cell: Vec<_> =
+            cells.iter().map(|(row, col)| c.get("t", row, col, ts).unwrap()).collect();
+        let before = c.dispatch_metrics();
+        let batch = c.get_many("t", &cells, ts).unwrap();
+        assert_eq!((c.dispatch_metrics() - before).gets, cells.len() as u64, "one get per cell");
+        assert_eq!(batch, per_cell, "read at {ts}");
+    }
+    let values = |ts| -> Vec<Option<Bytes>> {
+        c.get_many("t", &cells, ts).unwrap().into_iter().map(|v| v.map(|v| v.value)).collect()
+    };
+    let want = [Some(b("v3")), Some(b("newer")), None, None, Some(b("newer")), Some(b("v1"))];
+    assert_eq!(values(u64::MAX), want);
+    let want = [Some(b("v3")), Some(b("v0")), Some(b("v2")), None, Some(b("v0")), Some(b("v1"))];
+    assert_eq!(values(first[3]), want);
+}
+
+#[test]
+fn get_many_fails_when_a_touched_server_is_down() {
+    let (_d, c) = cluster(2);
+    let rows = rows_in_four_regions(&c);
+    for row in &rows {
+        c.put("t", row, &[(b("c"), b("v"))]).unwrap();
+    }
+    let down = c.server_for_row("t", &rows[1]).unwrap();
+    let up: Vec<&[u8]> =
+        rows.iter().filter(|r| c.server_for_row("t", r).unwrap() != down).map(|r| &r[..]).collect();
+    assert!(!up.is_empty());
+    c.crash_server(down);
+    let before = c.dispatch_metrics();
+    let cells: Vec<(&[u8], &[u8])> = rows.iter().map(|r| (&r[..], &b"c"[..])).collect();
+    let err = c.get_many("t", &cells, u64::MAX).unwrap_err();
+    assert!(matches!(err, ClusterError::ServerDown(s) if s == down), "{err:?}");
+    assert_eq!((c.dispatch_metrics() - before).gets, 0, "a failed batch dispatches nothing");
+    // Cells on live servers alone still read.
+    let cells: Vec<(&[u8], &[u8])> = up.iter().map(|&r| (r, &b"c"[..])).collect();
+    let got = c.get_many("t", &cells, u64::MAX).unwrap();
+    assert!(got.iter().all(|v| v.as_ref().is_some_and(|v| v.value == b("v"))));
 }

@@ -241,6 +241,15 @@ impl Store for RecordingStore {
         self.inner.get(table, row, column, ts)
     }
 
+    fn get_many(
+        &self,
+        table: &str,
+        cells: &[(&[u8], &[u8])],
+        ts: u64,
+    ) -> ClusterResult<Vec<Option<VersionedValue>>> {
+        self.inner.get_many(table, cells, ts)
+    }
+
     fn get_cell_versioned(
         &self,
         table: &str,

@@ -107,6 +107,30 @@ pub(crate) fn values_at(
     Ok(values.map(|(values, _)| values))
 }
 
+/// [`values_at`] of each of the base rows `rows` as of `ts`, with nothing
+/// written: every row's indexed columns are read in one
+/// [`Store::get_many`].
+pub(crate) fn values_of_rows(
+    store: &dyn Store,
+    spec: &IndexSpec,
+    rows: &[&[u8]],
+    ts: u64,
+) -> Result<Vec<Option<Vec<Bytes>>>> {
+    let cells: Vec<(&[u8], &[u8])> = rows
+        .iter()
+        .flat_map(|&row| spec.columns.iter().map(move |col| (row, col.as_ref())))
+        .collect();
+    let mut read = store.get_many(&spec.base_table, &cells, ts)?;
+    let n = spec.columns.len();
+    (0..rows.len())
+        .map(|i| {
+            let mut columns = read[i * n..(i + 1) * n].iter_mut();
+            let values = index_values(spec, |_| Ok(columns.next().and_then(Option::take)))?;
+            Ok(values.map(|(values, _)| values))
+        })
+        .collect()
+}
+
 /// The raw write of one planned entry: `PutIndex` puts the key-only entry,
 /// `DeleteIndex` deletes it, each at its fixed timestamp.
 fn entry_write(entry: &IndexTask) -> (&[u8], Write<'static>, u64) {

@@ -121,7 +121,9 @@ fn scan_index(
 
 /// SR2 (Algorithm 2), applied only for `sync-insert`: for every hit, read
 /// the base row; keep the hit (up to `limit` in `kept`) if the base still
-/// carries the indexed value, otherwise delete the stale index entry.
+/// carries the indexed value, otherwise delete the stale index entry. The
+/// base rows are read in batches of the hits still needed to fill `limit`,
+/// so no hit past the one that fills it is checked or repaired.
 fn validate(
     store: &dyn Store,
     spec: &IndexSpec,
@@ -129,16 +131,18 @@ fn validate(
     limit: usize,
     kept: &mut Vec<IndexHit>,
 ) -> Result<()> {
-    for hit in hits {
-        if kept.len() >= limit {
-            break;
-        }
-        let current = maintain::values_at(store, spec, &hit.row, &[], u64::MAX)?;
-        if current.as_ref() == Some(&hit.values) {
-            kept.push(hit);
-        } else {
-            // Stale: delete 〈vindex ⊕ k, ts〉 from the index table.
-            maintain::delete_entry(store, spec, &index_row(&hit.values, &hit.row), hit.ts)?;
+    let mut hits = hits.into_iter().peekable();
+    while kept.len() < limit && hits.peek().is_some() {
+        let batch: Vec<IndexHit> = hits.by_ref().take(limit - kept.len()).collect();
+        let rows: Vec<&[u8]> = batch.iter().map(|hit| hit.row.as_ref()).collect();
+        let current = maintain::values_of_rows(store, spec, &rows, u64::MAX)?;
+        for (hit, current) in batch.into_iter().zip(current) {
+            if current.as_ref() == Some(&hit.values) {
+                kept.push(hit);
+            } else {
+                // Stale: delete 〈vindex ⊕ k, ts〉 from the index table.
+                maintain::delete_entry(store, spec, &index_row(&hit.values, &hit.row), hit.ts)?;
+            }
         }
     }
     Ok(())

@@ -69,6 +69,18 @@ pub trait Store: Send + Sync {
         ts: u64,
     ) -> ClusterResult<Option<VersionedValue>>;
 
+    /// [`Store::get`] of many `(row, column)` cells, in input order. The
+    /// default reads them one by one; a backend that can batch them
+    /// overrides it.
+    fn get_many(
+        &self,
+        table: &str,
+        cells: &[(&[u8], &[u8])],
+        ts: u64,
+    ) -> ClusterResult<Vec<Option<VersionedValue>>> {
+        cells.iter().map(|(row, column)| self.get(table, row, column, ts)).collect()
+    }
+
     /// Newest cell (tombstones included) for one column: `(ts, is_tombstone)`.
     fn get_cell_versioned(
         &self,
@@ -194,6 +206,15 @@ impl Store for Cluster {
         ts: u64,
     ) -> ClusterResult<Option<VersionedValue>> {
         Cluster::get(self, table, row, column, ts)
+    }
+
+    fn get_many(
+        &self,
+        table: &str,
+        cells: &[(&[u8], &[u8])],
+        ts: u64,
+    ) -> ClusterResult<Vec<Option<VersionedValue>>> {
+        Cluster::get_many(self, table, cells, ts)
     }
 
     fn get_cell_versioned(

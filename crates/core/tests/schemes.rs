@@ -258,6 +258,52 @@ fn sync_insert_limited_read_scans_past_a_window_of_stale_entries() {
     assert_eq!(di.get_by_index("item", "title", b"w", 100).unwrap().len(), 20);
 }
 
+#[test]
+fn sync_insert_read_keeps_the_live_hits_and_repairs_each_stale_one_once() {
+    let (_d, cluster, di) = setup(IndexScheme::SyncInsert);
+    for i in 0..12 {
+        put_title(&cluster, &format!("r{i:02}"), "v");
+    }
+    for i in [1, 4, 7, 10] {
+        put_title(&cluster, &format!("r{i:02}"), "w");
+    }
+    cluster.delete("item", b"r05", &[b("item_title")]).unwrap();
+    let live = ["r00", "r02", "r03", "r06", "r08", "r09", "r11"];
+    let before = cluster.dispatch_metrics();
+    let hits = di.get_by_index("item", "title", b"v", 100).unwrap();
+    let d = cluster.dispatch_metrics() - before;
+    assert_eq!(rows_of(&hits), live);
+    assert_eq!((d.gets, d.raw_deletes), (12, 5), "a base check per hit, a repair per stale one");
+    // The repairs landed: a second read checks only the live hits.
+    let before = cluster.dispatch_metrics();
+    let hits = di.get_by_index("item", "title", b"v", 100).unwrap();
+    let d = cluster.dispatch_metrics() - before;
+    assert_eq!(rows_of(&hits), live);
+    assert_eq!((d.gets, d.raw_deletes), (7, 0));
+}
+
+#[test]
+fn sync_insert_limited_read_checks_no_hit_past_the_one_that_fills_the_limit() {
+    let (_d, cluster, di) = setup(IndexScheme::SyncInsert);
+    for i in 0..10 {
+        put_title(&cluster, &format!("r{i:02}"), "v");
+    }
+    for i in [1, 6] {
+        put_title(&cluster, &format!("r{i:02}"), "w");
+    }
+    // Index order: r00, r01 (stale), r02, r03 fills the limit of 3; r06's
+    // stale entry lies past it and stays.
+    let before = cluster.dispatch_metrics();
+    let hits = di.get_by_index("item", "title", b"v", 3).unwrap();
+    let d = cluster.dispatch_metrics() - before;
+    assert_eq!(rows_of(&hits), vec!["r00", "r02", "r03"]);
+    assert_eq!((d.gets, d.raw_deletes), (4, 1));
+    let idx_table = di.index("item", "title").unwrap().spec.index_table();
+    let prefix = diff_index_core::encoding::value_prefix(b"v");
+    let raw = cluster.scan_rows_prefix(&idx_table, &prefix, u64::MAX, 100).unwrap();
+    assert_eq!(raw.len(), 9, "only r01's stale entry is repaired");
+}
+
 // --- async-simple ------------------------------------------------------------
 
 #[test]

@@ -31,7 +31,10 @@ fn fnv1a(data: &[u8], seed: u64) -> u64 {
     h
 }
 
-fn hash_pair(key: &[u8]) -> (u64, u64) {
+/// The filter hash of a key: the pair double hashing derives every probe
+/// from. Filters of any size and probe count take the same pair, so a
+/// lookup that checks many tables' filters hashes its key once.
+pub fn hash_pair(key: &[u8]) -> (u64, u64) {
     let h1 = fnv1a(key, 0);
     // Derive the second hash by finalizing the first (splitmix64 mixer)
     // instead of a second pass over the key: the probe loop is on the warm
@@ -96,11 +99,15 @@ impl BloomBuilder {
 impl Bloom {
     /// True if `key` *may* be present; false means definitely absent.
     pub fn may_contain(&self, key: &[u8]) -> bool {
+        self.may_contain_hashed(hash_pair(key))
+    }
+
+    /// [`Bloom::may_contain`] of the key whose [`hash_pair`] is `hash`.
+    pub fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
         if self.bits.is_empty() {
             return false;
         }
         let nbits = (self.bits.len() * 8) as u64;
-        let (h1, h2) = hash_pair(key);
         let mut h = h1;
         if nbits.is_power_of_two() {
             // Fast path for filters we build ourselves: mask, no division.

@@ -48,6 +48,7 @@
 //! guard first), so there is no hold-and-wait cycle with flushes, which
 //! take `write_state` then `durability` when rolling the WAL.
 
+use crate::bloom::hash_pair;
 use crate::cache::BlockCache;
 use crate::compaction::{gc_merge, should_compact, GcPolicy};
 use crate::faults::{injected_error, FaultPlan, FaultPoint};
@@ -217,6 +218,13 @@ fn table_cells<'a>(
     })
 }
 
+/// Keep `c` in `best` if it is newer: a smaller internal key.
+fn keep_newer(best: &mut Option<Cell>, c: Cell) {
+    if best.as_ref().is_none_or(|b| c.key < b.key) {
+        *best = Some(c);
+    }
+}
+
 fn table_path(dir: &Path, no: u64) -> PathBuf {
     dir.join(format!("{no:010}.sst"))
 }
@@ -249,13 +257,18 @@ impl<'a> RunWriter<'a> {
     }
 
     /// Finish and open every table of the run; also returns the bytes
-    /// written.
+    /// written. Every table is written out before the first is synced, so
+    /// the run's fsyncs follow one another.
     fn finish(self) -> Result<(Vec<Arc<Table>>, u64)> {
-        let mut tables = Vec::with_capacity(self.builders.len());
+        let written = self
+            .builders
+            .into_values()
+            .map(|(no, builder)| Ok((no, builder.path().to_path_buf(), builder.write_out()?)))
+            .collect::<Result<Vec<_>>>()?;
+        let mut tables = Vec::with_capacity(written.len());
         let mut bytes = 0;
-        for (no, builder) in self.builders.into_values() {
-            let path = builder.path().to_path_buf();
-            bytes += builder.finish()?.file_size;
+        for (no, path, table) in written {
+            bytes += table.sync()?.file_size;
             tables.push(Arc::new(
                 Table::open(path, no, self.tree.opts.block_cache.clone())?
                     .with_metrics(Arc::clone(&self.tree.metrics)),
@@ -575,59 +588,63 @@ impl LsmTree {
 
     // -- reads ---------------------------------------------------------------
 
-    /// Newest cell (tombstones included) for `key` visible at `ts`.
+    /// Newest cell (tombstones included) for `key` visible at `ts`: a
+    /// [`LsmTree::get_many`] of one key.
     pub fn get_versioned(&self, key: &[u8], ts: Timestamp) -> Result<Option<Cell>> {
-        Metrics::bump(&self.metrics.gets);
-        let snap = self.snapshot();
-        // Memtable probes: one brief in-memory lock each; no disk I/O.
-        let mut best: Option<Cell> = snap.active.read().get_versioned(key, ts);
-        for mem in &snap.frozen {
-            if let Some(c) = mem.read().get_versioned(key, ts) {
-                let better = match &best {
-                    None => true,
-                    Some(b) => c.key < b.key, // smaller internal key = newer
-                };
-                if better {
-                    best = Some(c);
-                }
-            }
-        }
-        // Table probes: no lock held; disk I/O never blocks the write path.
-        for table in &snap.tables {
-            if let Some(b) = &best {
-                // No older table can beat a candidate at least as new as
-                // everything the table holds.
-                if b.key.ts >= table.properties().max_ts {
-                    Metrics::bump(&self.metrics.tables_skipped);
-                    continue;
-                }
-            }
-            if table.outside_key_range(key) || table.definitely_absent(key) {
-                Metrics::bump(&self.metrics.tables_skipped);
-                continue;
-            }
-            Metrics::bump(&self.metrics.tables_probed);
-            if let Some(c) = table.probe_versioned(key, ts)? {
-                let better = match &best {
-                    None => true,
-                    Some(b) => c.key < b.key,
-                };
-                if better {
-                    best = Some(c);
-                }
-            }
-        }
-        Ok(best)
+        Ok(self.get_many(&[key], ts)?.pop().flatten())
     }
 
     /// Newest visible value for `key` at `ts`, hiding tombstones.
     pub fn get(&self, key: &[u8], ts: Timestamp) -> Result<Option<VersionedValue>> {
-        Ok(match self.get_versioned(key, ts)? {
-            Some(c) if c.key.kind == CellKind::Put => {
-                Some(VersionedValue { value: c.value, ts: c.key.ts })
+        Ok(self.get_versioned(key, ts)?.and_then(Cell::into_visible))
+    }
+
+    /// Newest cell (tombstones included) visible at `ts` for each of
+    /// `keys`, in input order; duplicates are answered twice. The batch
+    /// shares one snapshot and one read guard per memtable, hashes each key
+    /// once for every table's bloom filter, and adds to the `gets` and
+    /// table counters once.
+    pub fn get_many<K: AsRef<[u8]>>(&self, keys: &[K], ts: Timestamp) -> Result<Vec<Option<Cell>>> {
+        Metrics::add(&self.metrics.gets, keys.len() as u64);
+        let snap = self.snapshot();
+        // Memtable probes: one brief in-memory lock each; no disk I/O.
+        let mut best: Vec<Option<Cell>> = {
+            let active = snap.active.read();
+            keys.iter().map(|key| active.get_versioned(key.as_ref(), ts)).collect()
+        };
+        for mem in &snap.frozen {
+            let mem = mem.read();
+            for (key, best) in keys.iter().zip(&mut best) {
+                if let Some(c) = mem.get_versioned(key.as_ref(), ts) {
+                    keep_newer(best, c);
+                }
             }
-            _ => None,
-        })
+        }
+        // Table probes: no lock held; disk I/O never blocks the write path.
+        let (mut probed, mut skipped) = (0, 0);
+        let probes = keys.iter().zip(&mut best).try_for_each(|(key, best)| {
+            let key = key.as_ref();
+            let mut hash = None;
+            for table in &snap.tables {
+                // No older table can beat a candidate at least as new as
+                // everything the table holds.
+                if best.as_ref().is_some_and(|b| b.key.ts >= table.properties().max_ts)
+                    || table.outside_key_range(key)
+                    || table.definitely_absent(*hash.get_or_insert_with(|| hash_pair(key)))
+                {
+                    skipped += 1;
+                    continue;
+                }
+                probed += 1;
+                if let Some(c) = table.probe_versioned(key, ts)? {
+                    keep_newer(best, c);
+                }
+            }
+            Ok(())
+        });
+        Metrics::add(&self.metrics.tables_probed, probed);
+        Metrics::add(&self.metrics.tables_skipped, skipped);
+        probes.map(|()| best)
     }
 
     /// Latest visible value (snapshot = ∞).
@@ -1388,6 +1405,78 @@ mod tests {
         assert_eq!(rows.len(), 50);
     }
 
+    /// `get_many` answers every key as a per-key `get_versioned` does, and
+    /// as a model of the writes does, across the active memtable, a frozen
+    /// one (as an in-flight flush leaves it) and three tables, with
+    /// tombstones, reads below the newest version, and duplicate and absent
+    /// keys; its counters move as the per-key path's do.
+    #[test]
+    fn get_many_matches_per_key_gets() {
+        let dir = TempDir::new("lsm").unwrap();
+        let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+        let key = |i: u64| Bytes::from(format!("k{i:02}"));
+        let mut model: BTreeMap<Bytes, BTreeMap<Timestamp, Option<Bytes>>> = BTreeMap::new();
+        let mut cells_at = |ts: Timestamp, put: fn(u64) -> bool, del: fn(u64) -> bool| {
+            let mut cells = Vec::new();
+            for i in 0..20 {
+                let versions = model.entry(key(i)).or_default();
+                if put(i) {
+                    let value = Bytes::from(format!("v{i}@{ts}"));
+                    versions.insert(ts, Some(value.clone()));
+                    cells.push(Cell::put(key(i), ts, value));
+                } else if del(i) {
+                    versions.insert(ts, None);
+                    cells.push(Cell::delete(key(i), ts));
+                }
+            }
+            cells
+        };
+        db.write_batch(&cells_at(10, |_| true, |_| false)).unwrap();
+        db.flush().unwrap();
+        db.write_batch(&cells_at(20, |i| i % 3 == 0, |i| i % 3 == 1)).unwrap();
+        db.flush().unwrap();
+        db.write_batch(&cells_at(30, |i| i % 4 == 0, |_| false)).unwrap();
+        db.flush().unwrap();
+        let mut frozen = MemTable::new();
+        for c in cells_at(40, |i| i % 5 == 0, |i| i % 7 == 3) {
+            frozen.insert(c);
+        }
+        let snap = db.snapshot();
+        db.publish(Arc::new(Snapshot {
+            active: Arc::new(RwLock::new(MemTable::new())),
+            frozen: vec![Arc::new(RwLock::new(frozen))],
+            tables: snap.tables.clone(),
+        }));
+        db.write_batch(&cells_at(50, |i| i % 6 == 1, |i| i % 8 == 2)).unwrap();
+        assert_eq!(db.snapshot().tables.len(), 3);
+
+        let mut keys: Vec<Bytes> = (0..20).map(key).collect();
+        keys.extend([key(3), key(0), key(3), key(99), Bytes::from("a"), Bytes::from("zz")]);
+        for ts in [5, 10, 15, 20, 25, 35, 40, 45, 50, Timestamp::MAX] {
+            let before = db.metrics().snapshot();
+            let per_key: Vec<Option<Cell>> =
+                keys.iter().map(|k| db.get_versioned(k, ts).unwrap()).collect();
+            let mid = db.metrics().snapshot();
+            let batch = db.get_many(&keys, ts).unwrap();
+            let after = db.metrics().snapshot();
+            assert_eq!(batch, per_key, "read at {ts}");
+            for (k, cell) in keys.iter().zip(&batch) {
+                let want = model.get(k).and_then(|v| v.range(..=ts).next_back());
+                let got = cell.as_ref().map(|c| (c.key.ts, c.clone().into_visible()));
+                let want =
+                    want.map(|(&t, v)| (t, v.clone().map(|value| VersionedValue { value, ts: t })));
+                assert_eq!(got, want, "{k:?} at {ts}");
+            }
+            let (one, many) = (mid - before, after - mid);
+            assert_eq!(many.gets, keys.len() as u64);
+            assert_eq!(
+                (many.gets, many.tables_probed, many.tables_skipped),
+                (one.gets, one.tables_probed, one.tables_skipped),
+                "counters at {ts}"
+            );
+        }
+    }
+
     #[test]
     fn batched_put_amortizes_wal_append_and_fsync() {
         let dir = TempDir::new("lsm").unwrap();
@@ -1558,7 +1647,7 @@ mod group_tests {
         for i in 0..200 {
             let key = format!("r{i:04}/t");
             assert!(db.get_latest(key.as_bytes()).unwrap().is_some());
-            false_positives += u64::from(!filler[0].definitely_absent(key.as_bytes()));
+            false_positives += u64::from(!filler[0].definitely_absent(hash_pair(key.as_bytes())));
         }
         // The key ranges overlap, so only the bloom filter keeps the gets
         // out of the filler table: it is read exactly on a false positive.

@@ -16,7 +16,7 @@
 //! * **Footer** — fixed-size: offsets/lengths of index and bloom, a CRC of
 //!   the footer body, and a magic number.
 
-use crate::bloom::{Bloom, BloomBuilder};
+use crate::bloom::{hash_pair, Bloom, BloomBuilder};
 use crate::cache::BlockCache;
 use crate::metrics::Metrics;
 use crate::types::{cmp_internal, Cell, CellKind, InternalKey, LsmError, Result, Timestamp};
@@ -28,7 +28,7 @@ use bytes::Bytes;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, IntoInnerError, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -160,7 +160,14 @@ impl TableBuilder {
 
     /// Flush remaining data, write index/bloom/footer, fsync, and return the
     /// table properties. The builder is consumed.
-    pub fn finish(mut self) -> Result<TableProperties> {
+    pub fn finish(self) -> Result<TableProperties> {
+        self.write_out()?.sync()
+    }
+
+    /// [`TableBuilder::finish`] up to the fsync: every byte of the table is
+    /// handed to the OS, and the returned [`WrittenTable`] syncs it. A run
+    /// of several tables writes each out before syncing any.
+    pub fn write_out(mut self) -> Result<WrittenTable> {
         if self.cell_count == 0 {
             return Err(LsmError::InvalidOperation("empty table".into()));
         }
@@ -202,15 +209,16 @@ impl TableBuilder {
         self.file.write_all(&footer)?;
         self.offset += footer.len() as u64;
 
-        self.file.flush()?;
-        self.file.get_ref().sync_data()?;
-
-        Ok(TableProperties {
-            cell_count: self.cell_count,
-            min_key: self.min_key.unwrap(),
-            max_key: self.max_key.unwrap(),
-            max_ts: self.max_ts,
-            file_size: self.offset,
+        let file = self.file.into_inner().map_err(IntoInnerError::into_error)?;
+        Ok(WrittenTable {
+            file,
+            props: TableProperties {
+                cell_count: self.cell_count,
+                min_key: self.min_key.unwrap(),
+                max_key: self.max_key.unwrap(),
+                max_ts: self.max_ts,
+                file_size: self.offset,
+            },
         })
     }
 
@@ -222,6 +230,21 @@ impl TableBuilder {
     /// Cells added so far.
     pub fn cell_count(&self) -> u64 {
         self.cell_count
+    }
+}
+
+/// A table written out by [`TableBuilder::write_out`] but not yet synced.
+#[must_use = "a written table is not durable until synced"]
+pub struct WrittenTable {
+    file: File,
+    props: TableProperties,
+}
+
+impl WrittenTable {
+    /// Fsync the table and return its properties.
+    pub fn sync(self) -> Result<TableProperties> {
+        self.file.sync_data()?;
+        Ok(self.props)
     }
 }
 
@@ -632,9 +655,10 @@ impl Table {
         self.id
     }
 
-    /// True if the bloom filter rules out `user_key`.
-    pub fn definitely_absent(&self, user_key: &[u8]) -> bool {
-        !self.bloom.may_contain(user_key)
+    /// True if the bloom filter rules out the key whose
+    /// [`hash_pair`] is `hash`.
+    pub fn definitely_absent(&self, hash: (u64, u64)) -> bool {
+        !self.bloom.may_contain_hashed(hash)
     }
 
     /// True if `user_key` is outside this table's `[min, max]` key range.
@@ -716,7 +740,7 @@ impl Table {
     /// Allocation-free until a hit is materialized: the seek key is borrowed
     /// and each candidate block is binary-searched in place.
     pub fn get_versioned(&self, user_key: &[u8], ts: Timestamp) -> Result<Option<Cell>> {
-        if self.outside_key_range(user_key) || self.definitely_absent(user_key) {
+        if self.outside_key_range(user_key) || self.definitely_absent(hash_pair(user_key)) {
             return Ok(None);
         }
         self.probe_versioned(user_key, ts)

@@ -133,6 +133,14 @@ impl Cell {
         self.key.kind == CellKind::Delete
     }
 
+    /// The value a reader sees in this cell: none for a tombstone.
+    pub fn into_visible(self) -> Option<VersionedValue> {
+        match self.key.kind {
+            CellKind::Put => Some(VersionedValue { value: self.value, ts: self.key.ts }),
+            CellKind::Delete => None,
+        }
+    }
+
     /// Approximate in-memory footprint, used for memtable accounting.
     pub fn approximate_size(&self) -> usize {
         self.key.user_key.len() + self.value.len() + 24

@@ -2,8 +2,9 @@
 //! interleavings of puts, deletes, flushes, compactions and crash/reopen
 //! cycles, the engine must behave exactly like a sorted map of
 //! (key → newest visible version), for both point reads and scans, at the
-//! latest snapshot and at historical snapshots. An engine that splits its
-//! tables into column groups must answer exactly like one that does not.
+//! latest snapshot and at historical snapshots, one key at a time and in
+//! batches. An engine that splits its tables into column groups must
+//! answer exactly like one that does not.
 
 use bytes::Bytes;
 use diff_index_lsm::{BlockCache, KeyGroups, LsmOptions, LsmTree, TableOptions};
@@ -129,6 +130,28 @@ proptest! {
                 let want = model_get(&model, &key, snap);
                 prop_assert_eq!(got, want, "get({:?}, {})", String::from_utf8_lossy(&key), snap);
             }
+        }
+
+        // One batch answers like the per-key gets, duplicates and keys the
+        // ops never write included, and counts one get per key as they do.
+        let keys: Vec<Vec<u8>> = (0..28u8).chain([3, 3, 17]).map(key_bytes).collect();
+        for snap in snapshots.iter().take(5).copied().chain([u64::MAX]) {
+            let before = db.metrics().snapshot();
+            let per_key: Vec<_> = keys.iter().map(|k| db.get_versioned(k, snap).unwrap()).collect();
+            let mid = db.metrics().snapshot();
+            let batch = db.get_many(&keys, snap).unwrap();
+            let after = db.metrics().snapshot();
+            prop_assert_eq!(&batch, &per_key, "get_many at {}", snap);
+            for (key, cell) in keys.iter().zip(batch) {
+                let got = cell.and_then(|c| c.into_visible()).map(|v| v.value);
+                prop_assert_eq!(got, model_get(&model, key, snap), "get_many at {}", snap);
+            }
+            let (one, many) = (mid - before, after - mid);
+            prop_assert_eq!(many.gets, keys.len() as u64);
+            prop_assert_eq!(
+                (many.gets, many.tables_probed, many.tables_skipped),
+                (one.gets, one.tables_probed, one.tables_skipped)
+            );
         }
 
         // Full scan equals the model's visible view, in order.
