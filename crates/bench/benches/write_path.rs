@@ -7,11 +7,16 @@
 //! The end-to-end benchmark (`perfbench/`) covers the multi-threaded
 //! group-commit and indexed-put cases; this bench isolates the per-call
 //! batching effect with criterion's statistics.
+//!
+//! `wal_append_sync` is the layer under both: one `WalWriter::append` plus
+//! `sync` on a fresh segment, the cost of one group commit that carries a
+//! single record.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 use diff_index_cluster::{Cluster, ClusterOptions};
-use diff_index_lsm::LsmOptions;
+use diff_index_lsm::wal::WalWriter;
+use diff_index_lsm::{Cell, LsmOptions};
 use tempdir_lite::TempDir;
 
 fn durable_cluster() -> (TempDir, Cluster) {
@@ -72,5 +77,24 @@ fn bench_write_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_write_path);
+fn bench_wal_append_sync(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wal_append_sync");
+    group.sample_size(20);
+    for (name, len) in [("64B", 64usize), ("1KiB", 1024)] {
+        let dir = TempDir::new("bench-wal").unwrap();
+        let mut wal = WalWriter::create(dir.path().join("wal.log"), false).unwrap();
+        let value = Bytes::from(vec![b'v'; len]);
+        let mut ts = 0u64;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                ts += 1;
+                wal.append(&[Cell::put(row(ts), ts, value.clone())]).unwrap();
+                wal.sync().unwrap();
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_write_path, bench_wal_append_sync);
 criterion_main!(benches);

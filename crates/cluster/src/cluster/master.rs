@@ -35,6 +35,8 @@ impl Cluster {
     /// Kill a region server: its regions' memtables are lost (WAL and
     /// SSTables survive on durable storage) and requests routed to it fail
     /// with [`ClusterError::ServerDown`] until [`Cluster::recover`] runs.
+    /// Its engines are halted ([`diff_index_lsm::LsmTree::halt`]), so a
+    /// write routed to one of them before the crash fails too.
     pub fn crash_server(&self, server: ServerId) {
         // Drop the engines hosted by the dead server, discarding memtables —
         // and capture the dying server's view of its ownership (region ids +
@@ -50,7 +52,13 @@ impl Cluster {
                     .map(|(r, _, epoch)| (r.id, epoch))
                     .collect();
                 for (id, _) in &victims {
-                    state.regions.remove(id);
+                    // A write routed here before the crash holds the region
+                    // still; halting the engine makes it fail (and retry
+                    // against the new owner) instead of landing after
+                    // recovery has replayed the WAL.
+                    if let Some(region) = state.regions.remove(id) {
+                        region.engine.halt();
+                    }
                 }
                 if !victims.is_empty() {
                     stale_view.insert(name.clone(), victims);
@@ -260,7 +268,9 @@ impl Cluster {
 mod tests {
     use super::super::tests::{cols, test_opts, RecordingObserver};
     use super::*;
+    use crate::encoding::cell_key;
     use bytes::Bytes;
+    use diff_index_lsm::Cell;
     use tempdir_lite::TempDir;
 
     #[test]
@@ -298,6 +308,23 @@ mod tests {
         let got = c.get("t", &r1, b"c", u64::MAX).unwrap().unwrap();
         assert_eq!(got.value, Bytes::from("on-s1"), "unflushed data recovered from WAL");
         c.put("t", &r1, &cols(&[("c", "post-recovery")])).unwrap();
+    }
+
+    #[test]
+    fn write_routed_before_a_crash_fails_instead_of_landing_after_recovery() {
+        let dir = TempDir::new("cluster").unwrap();
+        let c = Cluster::new(dir.path(), test_opts(2)).unwrap();
+        c.create_table("t", 2).unwrap();
+        let row = [0u8, b'x'];
+        // What an in-flight raw write holds: the region, routed pre-crash.
+        let (region, _) = c.route("t", &row_start(&row), &c.inner.dispatch.puts).unwrap();
+        c.crash_server(c.server_for_row("t", &row).unwrap());
+        c.recover().unwrap();
+
+        let late = Cell::put(cell_key(&row, b"c"), 1, "late");
+        assert!(region.engine.write_batch(&[late]).is_err(), "the crashed engine is halted");
+        c.put("t", &row, &cols(&[("c", "v")])).unwrap();
+        assert_eq!(c.get("t", &row, b"c", u64::MAX).unwrap().unwrap().value, Bytes::from("v"));
     }
 
     #[test]

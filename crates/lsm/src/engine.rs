@@ -332,6 +332,9 @@ impl LsmTree {
         let mut replayed = Vec::new();
         for &no in &wal_nos {
             let r = replay(wal_path(&dir, no))?;
+            if r.torn_tail {
+                Metrics::bump(&metrics.wal_torn_tails);
+            }
             for c in r.cells {
                 replayed.push(c);
             }
@@ -471,10 +474,7 @@ impl LsmTree {
             return Err(injected_error("wal append"));
         }
         let mut ws = self.write_state.lock();
-        let wal = ws
-            .wal
-            .as_mut()
-            .ok_or_else(|| LsmError::InvalidOperation("engine closed".into()))?;
+        let wal = ws.wal.as_mut().ok_or_else(engine_closed)?;
         wal.append_buffered(cells)?;
         if !self.opts.wal_sync {
             // Keep non-durable mode's old contract: bytes reach the OS on
@@ -552,21 +552,19 @@ impl LsmTree {
     }
 
     /// Flush the WAL's user-space buffer and fsync the segment. The fsync
-    /// runs on an independent file handle with **no lock held**, so writers
-    /// keep staging into the buffer while the leader waits on the disk.
+    /// runs on the segment's shared file handle with **no lock held**, so
+    /// writers keep staging into the buffer while the leader waits on the
+    /// disk.
     /// Returns the staged sequence the fsync is guaranteed to cover.
     fn sync_wal(&self) -> Result<u64> {
         let (file, upto) = {
             let mut ws = self.write_state.lock();
             let upto = ws.staged_seq;
-            let wal = ws
-                .wal
-                .as_mut()
-                .ok_or_else(|| LsmError::InvalidOperation("engine closed".into()))?;
-            (wal.flush_and_clone()?, upto)
+            let wal = ws.wal.as_mut().ok_or_else(engine_closed)?;
+            (wal.flush_for_sync()?, upto)
         };
         if self.faults.take(FaultPoint::WalFsync) {
-            // The buffer already reached the OS file (flush_and_clone), so
+            // The buffer already reached the OS file (flush_for_sync), so
             // the record is *applied but unacked*: a crash + replay will
             // recover it even though the writer saw an error — §5.3's
             // ambiguous-outcome window, which recovery must repair.
@@ -742,6 +740,11 @@ impl LsmTree {
         // exits; readers were never blocked.
         let build_snap = {
             let mut ws = self.write_state.lock();
+            if ws.wal.is_none() {
+                // Halted: a flush would reopen a WAL and rewrite the
+                // manifest under the engine recovery opened.
+                return Err(engine_closed());
+            }
             let snap = self.snapshot();
             let active_empty = snap.active.read().is_empty();
             if active_empty && snap.frozen.is_empty() {
@@ -829,6 +832,12 @@ impl LsmTree {
         let nos: Vec<u64> = next.tables.iter().rev().map(|t| t.id()).collect();
         let stale_wals: Vec<u64> = {
             let mut ws = self.write_state.lock();
+            if ws.wal.is_none() {
+                // Halted during the build: the directory belongs to the
+                // engine recovery opened, which replayed (and removed) the
+                // pending segments. Publish and delete nothing.
+                return Err(engine_closed());
+            }
             write_manifest(&self.dir, &nos, ws.next_file_no)?;
             self.publish(next);
             ws.pending_wals.drain(..).collect()
@@ -852,6 +861,9 @@ impl LsmTree {
 
     /// Compaction body; `runs` is the maintenance lock's run count.
     fn compact_locked(&self, runs: &mut usize) -> Result<()> {
+        if self.write_state.lock().wal.is_none() {
+            return Err(engine_closed()); // halted, as in `flush_locked`
+        }
         // The maintenance lock keeps flushes out, so this is the whole stack
         // until the publish below.
         let tables: Vec<Arc<Table>> = self.snapshot().tables.clone();
@@ -900,6 +912,11 @@ impl LsmTree {
         let nos: Vec<u64> = next.tables.iter().rev().map(|t| t.id()).collect();
         {
             let ws = self.write_state.lock();
+            if ws.wal.is_none() {
+                // Halted during the merge: the engine recovery opened still
+                // uses the inputs. Publish and delete nothing.
+                return Err(engine_closed());
+            }
             write_manifest(&self.dir, &nos, ws.next_file_no)?;
             self.publish(next);
         }
@@ -942,12 +959,27 @@ impl LsmTree {
         max
     }
 
+    /// Stop a shared engine as its server's crash would: records staged so
+    /// far are handed to the OS, and every later write, WAL sync, flush and
+    /// compaction fails with an "engine closed" error. A caller that still
+    /// holds the engine (a write routed before the crash) thus cannot land
+    /// a record after recovery has replayed the WAL into a new engine.
+    pub fn halt(&self) {
+        self.write_state.lock().wal = None;
+    }
+
     /// Drop the engine as a crash would: the memtable vanishes, the WAL and
     /// SSTables stay. Reopen with [`LsmTree::open`] to recover.
     pub fn simulate_crash(self) {
         // Nothing to do: `Drop` performs no flush by design.
         drop(self);
     }
+}
+
+/// The error of a write, sync, flush or compaction on a halted engine
+/// ([`LsmTree::halt`]).
+fn engine_closed() -> LsmError {
+    LsmError::InvalidOperation("engine closed".into())
 }
 
 // -- manifest ----------------------------------------------------------------
@@ -991,6 +1023,7 @@ fn write_manifest(dir: &Path, table_nos_oldest_first: &[u64], next: u64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use tempdir_lite::TempDir;
 
     fn small_opts() -> LsmOptions {
@@ -1254,6 +1287,145 @@ mod tests {
         let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
         assert!(db.get_latest(b"k").unwrap().is_some());
         assert!(db.get_latest(b"k2").unwrap().is_some());
+    }
+
+    /// Path and appended bytes of the tree's live WAL segment.
+    fn live_wal(db: &LsmTree) -> (PathBuf, u64) {
+        let ws = db.write_state.lock();
+        let wal = ws.wal.as_ref().unwrap();
+        (wal.path().to_path_buf(), wal.written_bytes())
+    }
+
+    #[test]
+    fn halt_keeps_staged_records_and_fails_later_writes_and_flushes() {
+        let dir = TempDir::new("lsm").unwrap();
+        {
+            let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+            db.put("staged", 10, "v").unwrap();
+            db.halt();
+            assert!(db.put("late", 11, "v").is_err());
+            assert!(db.flush().is_err(), "a flush would write a new WAL and manifest");
+            assert!(db.compact().is_err());
+        }
+        let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+        assert!(db.get_latest(b"staged").unwrap().is_some());
+        assert!(db.get_latest(b"late").unwrap().is_none());
+    }
+
+    /// Install a groups hook that halts `db` once `armed` is set. Flush and
+    /// compaction ask for the groups as their build starts, past the
+    /// entry checks: a halt there lands between the build and the publish.
+    fn halt_in_build(db: &Arc<LsmTree>, armed: &Arc<AtomicBool>) {
+        let weak = Arc::downgrade(db);
+        let armed = Arc::clone(armed);
+        db.set_groups_hook(Box::new(move || {
+            if armed.swap(false, Ordering::AcqRel) {
+                weak.upgrade().unwrap().halt();
+            }
+            None
+        }));
+    }
+
+    #[test]
+    fn halt_during_a_flush_build_publishes_and_deletes_nothing() {
+        let dir = TempDir::new("lsm").unwrap();
+        let armed = Arc::new(AtomicBool::new(false));
+        {
+            let db = Arc::new(LsmTree::open(dir.path(), manual_opts()).unwrap());
+            halt_in_build(&db, &armed);
+            db.put("k", 10, "v").unwrap();
+            let (flushed_wal, _) = live_wal(&db);
+            armed.store(true, Ordering::Release);
+            assert!(db.flush().is_err(), "a flush halted in its build fails");
+            assert!(flushed_wal.exists(), "the flushed segment is not deleted");
+        }
+        let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+        assert_eq!(db.table_count(), 0, "the manifest was not rewritten");
+        assert!(db.get_latest(b"k").unwrap().is_some(), "replayed from the kept segment");
+    }
+
+    #[test]
+    fn halt_during_a_compaction_merge_publishes_and_deletes_nothing() {
+        let dir = TempDir::new("lsm").unwrap();
+        let armed = Arc::new(AtomicBool::new(false));
+        let inputs: Vec<PathBuf> = {
+            let db = Arc::new(LsmTree::open(dir.path(), manual_opts()).unwrap());
+            halt_in_build(&db, &armed);
+            db.put("a", 10, "v").unwrap();
+            db.flush().unwrap();
+            db.put("b", 11, "v").unwrap();
+            db.flush().unwrap();
+            let inputs = db.snapshot().tables.iter().map(|t| t.path().to_path_buf()).collect();
+            armed.store(true, Ordering::Release);
+            assert!(db.compact().is_err(), "a compaction halted in its merge fails");
+            inputs
+        };
+        assert_eq!(inputs.len(), 2);
+        assert!(inputs.iter().all(|p| p.exists()), "the inputs are not unlinked");
+        let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+        assert_eq!(db.table_count(), 2, "the manifest was not rewritten");
+        assert!(db.get_latest(b"a").unwrap().is_some());
+        assert!(db.get_latest(b"b").unwrap().is_some());
+    }
+
+    #[test]
+    fn clean_reopen_counts_no_torn_wal_tail() {
+        let dir = TempDir::new("lsm").unwrap();
+        {
+            let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+            db.put("k", 10, "v").unwrap();
+        }
+        let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+        assert_eq!(db.metrics().snapshot().wal_torn_tails, 0, "a zero-filled tail is a clean end");
+        assert!(db.get_latest(b"k").unwrap().is_some());
+    }
+
+    #[test]
+    fn wal_segment_cut_mid_record_counts_one_torn_tail() {
+        let dir = TempDir::new("lsm").unwrap();
+        let (wal, end) = {
+            let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+            db.put("kept", 10, "v").unwrap();
+            db.put("cut", 11, "v").unwrap();
+            let live = live_wal(&db);
+            db.simulate_crash();
+            live
+        };
+        std::fs::OpenOptions::new().write(true).open(&wal).unwrap().set_len(end - 3).unwrap();
+        let db = LsmTree::open(dir.path(), manual_opts()).unwrap();
+        assert_eq!(db.metrics().snapshot().wal_torn_tails, 1);
+        assert!(db.get_latest(b"kept").unwrap().is_some());
+        assert!(db.get_latest(b"cut").unwrap().is_none(), "the torn record is discarded");
+    }
+
+    #[test]
+    fn crash_reopen_of_zero_filled_segment_returns_exactly_the_synced_records() {
+        const N: u64 = 300; // ~1 KiB each: the segment crosses a zero-fill step
+        let dir = TempDir::new("lsm").unwrap();
+        let opts = LsmOptions { wal_sync: true, ..manual_opts() };
+        let (wal, end) = {
+            let db = LsmTree::open(dir.path(), opts.clone()).unwrap();
+            for i in 0..N {
+                db.put(format!("k{i:04}"), i + 1, vec![i as u8; 1024]).unwrap();
+            }
+            let live = live_wal(&db);
+            db.simulate_crash();
+            live
+        };
+        let len = std::fs::metadata(&wal).unwrap().len();
+        assert!(end > crate::wal::ZERO_FILL_STEP, "{end} B must cross a step");
+        assert!(len > end, "the segment is zero-filled past its {end} record bytes");
+
+        let db = LsmTree::open(dir.path(), opts).unwrap();
+        assert_eq!(db.metrics().snapshot().wal_torn_tails, 0);
+        assert_eq!(db.memtable_cells(), N as usize, "no cell beyond the synced ones");
+        let rows = db.scan(b"", None, u64::MAX, usize::MAX).unwrap();
+        assert_eq!(rows.len(), N as usize);
+        for (i, (key, v)) in rows.iter().enumerate() {
+            assert_eq!(key, &Bytes::from(format!("k{i:04}")));
+            assert_eq!(v.ts, i as u64 + 1);
+            assert_eq!(v.value, Bytes::from(vec![i as u8; 1024]));
+        }
     }
 
     #[test]

@@ -95,6 +95,10 @@ counters! {
         /// WAL records made durable by group-commit fsyncs; divided by
         /// `wal_fsyncs` this is the mean group-commit batch size.
         group_commit_records,
+        /// WAL segments whose replay at open ended in a torn (incomplete or
+        /// corrupt) record: a crash mid-append. A zero-filled tail is a
+        /// clean end and does not count.
+        wal_torn_tails,
         /// Memtable flushes completed.
         flushes,
         /// Compactions completed.
